@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -39,36 +40,49 @@ struct BenchArgs {
   std::size_t threads = 1;
 };
 
+/// Print `msg` and the shared usage line to stderr, then exit with status 2:
+/// a bad command line is the caller's error, not a simulator failure.
+[[noreturn]] inline void bench_usage_error(const char* prog, const std::string& msg) {
+  std::fprintf(stderr,
+               "%s: %s\nusage: %s [--smoke] [--json <path>] [--perf <path>] [--threads <n>]\n",
+               prog, msg.c_str(), prog);
+  std::exit(2);
+}
+
 inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg{argv[i]};
+    const auto value = [&](const char* what) -> std::string {
+      if (i + 1 >= argc) {
+        std::string msg = arg;
+        msg += " needs ";
+        msg += what;
+        bench_usage_error(argv[0], msg);
+      }
+      return argv[++i];
+    };
     if (arg == "--smoke") {
       args.smoke = true;
     } else if (arg == "--json") {
-      MONDE_REQUIRE(i + 1 < argc, "--json needs a <path> argument");
-      args.json_path = argv[++i];
+      args.json_path = value("a <path> argument");
     } else if (arg == "--perf") {
-      MONDE_REQUIRE(i + 1 < argc, "--perf needs a <path> argument");
-      args.perf_path = argv[++i];
+      args.perf_path = value("a <path> argument");
     } else if (arg == "--threads") {
-      MONDE_REQUIRE(i + 1 < argc, "--threads needs a count argument");
-      const std::string value{argv[++i]};
+      const std::string count = value("a count argument");
       std::size_t pos = 0;
       unsigned long n = 0;
       try {
-        n = std::stoul(value, &pos);
+        n = std::stoul(count, &pos);
       } catch (const std::exception&) {
         pos = 0;
       }
-      MONDE_REQUIRE(pos == value.size() && n >= 1,
-                    "--threads needs a positive integer, got '" << value << "'");
+      if (pos != count.size() || n < 1) {
+        bench_usage_error(argv[0], "--threads needs a positive integer, got '" + count + "'");
+      }
       args.threads = static_cast<std::size_t>(n);
     } else {
-      MONDE_REQUIRE(false, "unknown bench argument '"
-                               << arg
-                               << "' (expected --smoke / --json <path> / --perf <path> / "
-                                  "--threads <n>)");
+      bench_usage_error(argv[0], "unknown bench argument '" + arg + "'");
     }
   }
   return args;

@@ -45,7 +45,8 @@ struct RunReport {
 /// One state owns one shared hardware schedule; every prefill()/decode_step()
 /// call appends to it and advances the `now` cursor. A state outlives many
 /// steps, which is what lets requests at different decode depths share a
-/// schedule (continuous batching).
+/// schedule (continuous batching). A non-recording state (make_state(false))
+/// keeps neither intervals nor `layers`; its step results are identical.
 struct EngineState {
   sim::StreamSchedule sched;
   HwStreams hw;
@@ -54,7 +55,7 @@ struct EngineState {
   Duration moe = Duration::zero();      ///< accumulated MoE layer time
   std::uint64_t tokens = 0;             ///< tokens processed/produced so far
   std::int64_t decode_steps = 0;        ///< decode_step() calls so far (labels)
-  std::vector<MoeLayerResult> layers;   ///< every scheduled MoE layer, in order
+  std::vector<MoeLayerResult> layers;   ///< every scheduled MoE layer, in order (recording only)
 };
 
 /// One request's view of a decode step: its identity, decode depth, and the
@@ -85,7 +86,8 @@ class InferenceEngine {
   // --- Step primitives -----------------------------------------------------
 
   /// A fresh state with this platform's hardware streams registered.
-  [[nodiscard]] EngineState make_state() const;
+  /// `record` = false for callers that never read the trace (serving).
+  [[nodiscard]] EngineState make_state(bool record = true) const;
 
   /// One encoder pass (prefill) over `batch` sequences of `seq_len` tokens,
   /// starting no earlier than `st.now`. Routing is drawn from the workload

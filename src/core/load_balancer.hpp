@@ -37,7 +37,8 @@ class MondeLoadBalanced final : public Strategy {
   /// Unrounded Equation-6 value at alpha = 1 (used to invert H -> alpha).
   [[nodiscard]] double h_raw_equation6(const moe::MoeLayerWork& work) const;
 
-  /// Dry-run: latency of the layer under a fixed H on fresh streams.
+  /// Dry-run: latency of the layer under a fixed H on idle streams (a
+  /// non-recording scratch schedule, reset before every run).
   [[nodiscard]] Duration evaluate_layer_with_h(const moe::MoeLayerWork& work, int h);
 
   /// Pin H (disables Equation 6 and tuning); pass -1 to restore auto mode.
@@ -73,6 +74,8 @@ class MondeLoadBalanced final : public Strategy {
   std::deque<moe::MoeLayerWork> window_;
   Bandwidth profiled_pcie_;   ///< zero = use specification
   Bandwidth profiled_monde_;  ///< zero = use specification
+  sim::StreamSchedule scratch_{/*record=*/false};  ///< evaluate_layer_with_h's dry-run streams
+  HwStreams scratch_hw_;
 };
 
 }  // namespace monde::core

@@ -21,8 +21,12 @@ ExpertList activated_by_load(const moe::MoeLayerWork& work) {
   return out;
 }
 
-std::string expert_label(const char* what, std::size_t e, std::uint64_t tok) {
-  return std::string{what} + " E" + std::to_string(e) + " (" + std::to_string(tok) + " tok)";
+/// Lazy "<what> E<e> (<tok> tok)" trace label, formatted only when the
+/// schedule records.
+auto expert_label(const char* what, std::size_t e, std::uint64_t tok) {
+  return [=] {
+    return std::string{what} + " E" + std::to_string(e) + " (" + std::to_string(tok) + " tok)";
+  };
 }
 
 }  // namespace
@@ -153,7 +157,7 @@ Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
     const Bytes in_bytes = ctx_.activation_bytes(routed);
     const auto am =
         sched.place(hw.pcie_g2m, ready, ctx_.sys->pcie.transfer_time(in_bytes),
-                    "AMove-in dev" + std::to_string(d), "amove");
+                    [d] { return "AMove-in dev" + std::to_string(d); }, "amove");
     result.amove_bytes += in_bytes;
 
     // The host driver prepares each expert offload (input slicing, two 64-B
@@ -387,6 +391,7 @@ class MultiGpu final : public Strategy {
 
 MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx) : Strategy{std::move(ctx)} {
   MONDE_REQUIRE(!ctx_.devices.empty(), "MD+LB needs at least one MoNDE device");
+  scratch_hw_ = HwStreams::create(scratch_, *ctx_.sys);
 }
 
 double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
@@ -440,10 +445,8 @@ MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, 
 }
 
 Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work, int h) {
-  sim::StreamSchedule scratch;
-  const HwStreams hw = HwStreams::create(scratch, *ctx_.sys);
-  const MoeLayerResult r = schedule_layer(work, h, scratch, hw, Duration::zero());
-  return r.latency();
+  scratch_.reset();
+  return schedule_layer(work, h, scratch_, scratch_hw_, Duration::zero()).latency();
 }
 
 void MondeLoadBalanced::set_alpha(double alpha, bool keep_tuning) {

@@ -352,7 +352,7 @@ class ServerSim {
   core::InferenceEngine& engine_;
   SchedulerConfig cfg_;
   ContinuousBatchScheduler sched_;
-  core::EngineState st_;
+  core::EngineState st_;  ///< non-recording: serving never reads the engine trace
   Duration start_at_ = Duration::zero();
   FaultSpec fault_;
   KvCache cache_;

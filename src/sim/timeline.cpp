@@ -131,16 +131,14 @@ Duration StreamSchedule::free_at(StreamId stream) const {
   return free_[stream.index];
 }
 
-Interval StreamSchedule::place(StreamId stream, Duration earliest, Duration length,
-                               std::string label, std::string category) {
+Span StreamSchedule::occupy(StreamId stream, Duration earliest, Duration length) {
   MONDE_REQUIRE(stream.index < free_.size(), "unknown stream");
   MONDE_REQUIRE(length >= Duration::zero(), "task length must be non-negative");
   const Duration start = max(earliest, free_[stream.index]);
   const Duration end = start + length;
   free_[stream.index] = end;
-  Interval iv{stream, start, end, std::move(label), std::move(category)};
-  timeline_.record(iv);
-  return iv;
+  makespan_ = max(makespan_, end);
+  return {start, end};
 }
 
 void StreamSchedule::block_until(StreamId stream, Duration when) {
@@ -148,6 +146,10 @@ void StreamSchedule::block_until(StreamId stream, Duration when) {
   free_[stream.index] = max(free_[stream.index], when);
 }
 
-Duration StreamSchedule::makespan() const { return timeline_.end_time(); }
+void StreamSchedule::reset() {
+  std::fill(free_.begin(), free_.end(), Duration::zero());
+  makespan_ = Duration::zero();
+  timeline_ = Timeline{};
+}
 
 }  // namespace monde::sim

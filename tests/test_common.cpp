@@ -3,7 +3,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "../bench/bench_util.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -368,6 +371,35 @@ TEST(Error, RequireThrowsWithMessage) {
   } catch (const Error& e) {
     EXPECT_NE(std::string{e.what()}.find("math is broken: 42"), std::string::npos);
   }
+}
+
+// --- Bench command line ------------------------------------------------------
+
+bench::BenchArgs parse(std::vector<std::string> words) {
+  words.insert(words.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& w : words) argv.push_back(w.data());
+  return bench::parse_bench_args(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(BenchArgs, ParsesSharedFlags) {
+  const bench::BenchArgs a =
+      parse({"--smoke", "--json", "m.json", "--perf", "p.json", "--threads", "8"});
+  EXPECT_TRUE(a.smoke);
+  EXPECT_EQ(a.json_path, "m.json");
+  EXPECT_EQ(a.perf_path, "p.json");
+  EXPECT_EQ(a.threads, 8u);
+}
+
+TEST(BenchArgs, BadArgumentExitsWithUsage) {
+  // A bad command line prints the reason and the usage line and exits 2,
+  // not an uncaught-exception abort.
+  const auto usage = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse({"--json"}), usage, "--json needs a <path> argument\nusage: bench ");
+  EXPECT_EXIT(parse({"--perf"}), usage, "--perf needs a <path> argument");
+  EXPECT_EXIT(parse({"--threads", "0"}), usage, "positive integer, got '0'");
+  EXPECT_EXIT(parse({"--threads", "4x"}), usage, "positive integer, got '4x'");
+  EXPECT_EXIT(parse({"--fast"}), usage, "unknown bench argument '--fast'");
 }
 
 }  // namespace

@@ -354,6 +354,91 @@ TEST_F(StrategyTest, ZeroColdExpertsStillValid) {
   EXPECT_EQ(r.experts_gpu, work.activated_experts());
 }
 
+void expect_same_layer(const MoeLayerResult& a, const MoeLayerResult& b) {
+  EXPECT_EQ(a.start.ns(), b.start.ns());
+  EXPECT_EQ(a.end.ns(), b.end.ns());
+  EXPECT_EQ(a.gating.ns(), b.gating.ns());
+  EXPECT_EQ(a.combine.ns(), b.combine.ns());
+  EXPECT_EQ(a.experts_gpu, b.experts_gpu);
+  EXPECT_EQ(a.experts_ndp, b.experts_ndp);
+  EXPECT_EQ(a.experts_cpu, b.experts_cpu);
+  EXPECT_EQ(a.pmove_bytes.count(), b.pmove_bytes.count());
+  EXPECT_EQ(a.amove_bytes.count(), b.amove_bytes.count());
+  EXPECT_EQ(a.h_value, b.h_value);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+}
+
+TEST_F(StrategyTest, NonRecordingScheduleMatchesRecording) {
+  // Every strategy, with and without the GPU expert cache, must place the
+  // same layers identically whether or not its schedule records intervals.
+  sys_.num_gpus = 2;  // lets kMultiGpu join the sweep
+  const std::int64_t tokens[] = {128, 16, 256, 64, 512, 32, 128};
+  for (const std::uint64_t cache_experts : {0u, 4u}) {
+    sys_.gpu_expert_cache_bytes = Bytes{cache_experts * model_.expert_bytes().count()};
+    for (const StrategyKind kind :
+         {StrategyKind::kIdealGpu, StrategyKind::kGpuPmove, StrategyKind::kMondeAmove,
+          StrategyKind::kMondeLoadBalanced, StrategyKind::kCpuAmove, StrategyKind::kMultiGpu}) {
+      SCOPED_TRACE(to_string(kind) + (cache_experts ? " +cache" : ""));
+      auto rec_strat = make_strategy(kind, ctx());
+      auto off_strat = make_strategy(kind, ctx());
+      sim::StreamSchedule rec;
+      sim::StreamSchedule off{false};
+      const HwStreams rec_hw = HwStreams::create(rec, sys_);
+      const HwStreams off_hw = HwStreams::create(off, sys_);
+      Duration ready = Duration::zero();
+      for (std::size_t i = 0; i < std::size(tokens); ++i) {
+        const moe::MoeLayerWork work = routed_work(tokens[i]);
+        // Odd layers chain on the previous end; even ones are ready at zero
+        // and must wait for busy streams.
+        const Duration at = i % 2 ? ready : Duration::zero();
+        const MoeLayerResult a = rec_strat->run_layer(work, rec, rec_hw, at);
+        const MoeLayerResult b = off_strat->run_layer(work, off, off_hw, at);
+        expect_same_layer(a, b);
+        ready = a.end;
+      }
+      ASSERT_EQ(rec.stream_count(), off.stream_count());
+      for (std::size_t s = 0; s < rec.stream_count(); ++s) {
+        EXPECT_EQ(rec.free_at(sim::StreamId{s}).ns(), off.free_at(sim::StreamId{s}).ns());
+      }
+      EXPECT_EQ(rec.makespan().ns(), rec.timeline().end_time().ns());
+      EXPECT_EQ(rec.makespan().ns(), off.makespan().ns());
+      EXPECT_FALSE(rec.timeline().intervals().empty());
+      EXPECT_TRUE(rec.timeline().validate().empty());
+      EXPECT_TRUE(off.timeline().intervals().empty());
+    }
+  }
+}
+
+TEST_F(StrategyTest, TunerScratchScheduleCarriesNoState) {
+  // evaluate_layer_with_h reuses one scratch schedule. Repeated and
+  // interleaved dry runs -- including the tuner's own, triggered by
+  // run_layer on other works -- must each equal a dry run of the same
+  // (work, H) on a fresh schedule and a fresh strategy.
+  const auto fresh_eval = [&](const moe::MoeLayerWork& work, int h) {
+    MondeLoadBalanced fresh{ctx()};
+    fresh.set_fixed_h(h);
+    sim::StreamSchedule sched;
+    const HwStreams hw = HwStreams::create(sched, sys_);
+    return fresh.run_layer(work, sched, hw, Duration::zero()).latency();
+  };
+  MondeLoadBalanced lb{ctx()};
+  sim::StreamSchedule sched;
+  const HwStreams hw = HwStreams::create(sched, sys_);
+  Duration t = Duration::zero();
+  for (int round = 0; round < 3; ++round) {
+    // Large works first so a stale free time would inflate the small ones.
+    for (const std::int64_t tokens : {512, 16, 256, 32, 128}) {
+      const moe::MoeLayerWork work = routed_work(tokens);
+      const int activated = static_cast<int>(work.activated_experts());
+      for (const int h : {activated, 0, activated / 2, 1}) {
+        const Duration got = lb.evaluate_layer_with_h(work, h);
+        EXPECT_EQ(got.ns(), fresh_eval(work, h).ns()) << tokens << " tokens, H=" << h;
+      }
+      t = lb.run_layer(routed_work(tokens == 16 ? 384 : 48), sched, hw, t).end;
+    }
+  }
+}
+
 // --- Engine -----------------------------------------------------------------------
 
 TEST(Engine, EncoderReportConsistency) {
@@ -509,6 +594,34 @@ TEST(Engine, DecodeStepHandlesMixedDepths) {
   const std::vector<DecodeSlot> deep = {{10, 100, 64}, {11, 105, 128}, {12, 111, 96}};
   const StepResult r2 = eng.decode_step(st2, deep);
   EXPECT_GE(r2.latency().ns(), r.latency().ns() * 0.5);
+}
+
+TEST(Engine, NonRecordingStateMatchesRecording) {
+  // A serving-style state (make_state(false)) must step identically to a
+  // recording one while keeping no intervals and no per-layer results.
+  InferenceEngine a{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
+                    StrategyKind::kMondeLoadBalanced, 42};
+  InferenceEngine b{SystemConfig::dac24(), tiny_model(), moe::SkewProfile::switch_like(),
+                    StrategyKind::kMondeLoadBalanced, 42};
+  EngineState rec = a.make_state();
+  EngineState off = b.make_state(false);
+  for (int step = 0; step < 6; ++step) {
+    const StepResult pa = a.prefill(rec, 1, 32 + 16 * step);
+    const StepResult pb = b.prefill(off, 1, 32 + 16 * step);
+    EXPECT_EQ(pa.end.ns(), pb.end.ns());
+    const std::vector<DecodeSlot> slots = {{0, step, 64}, {1, 2 * step, 96}};
+    const StepResult da = a.decode_step(rec, slots);
+    const StepResult db = b.decode_step(off, slots);
+    EXPECT_EQ(da.start.ns(), db.start.ns());
+    EXPECT_EQ(da.end.ns(), db.end.ns());
+  }
+  EXPECT_EQ(rec.now.ns(), off.now.ns());
+  EXPECT_EQ(rec.moe.ns(), off.moe.ns());
+  EXPECT_EQ(rec.non_moe.ns(), off.non_moe.ns());
+  EXPECT_EQ(rec.sched.makespan().ns(), off.sched.makespan().ns());
+  EXPECT_EQ(rec.layers.size(), 24u);  // 6 x (2 encoder + 2 decoder MoE layers)
+  EXPECT_TRUE(off.layers.empty());
+  EXPECT_TRUE(off.sched.timeline().intervals().empty());
 }
 
 TEST(Engine, DecodeStepPerRequestRoutingIndependentOfBatchOrder) {

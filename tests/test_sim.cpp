@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel and stream timelines.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -251,6 +252,63 @@ TEST(StreamSchedule, ZeroLengthTaskRecordsMarker) {
   const auto iv = sched.place(s, Duration::nanos(3), Duration::zero(), "marker", "m");
   EXPECT_DOUBLE_EQ(iv.start.ns(), iv.end.ns());
   EXPECT_EQ(sched.timeline().intervals().size(), 1u);
+}
+
+TEST(StreamSchedule, MakespanIsLatestEnd) {
+  StreamSchedule sched;
+  const StreamId s0 = sched.add_stream("A");
+  const StreamId s1 = sched.add_stream("B");
+  EXPECT_DOUBLE_EQ(sched.makespan().ns(), 0.0);
+  sched.place(s0, Duration::zero(), Duration::nanos(100), "a", "x");
+  sched.place(s1, Duration::nanos(10), Duration::nanos(20), "b", "x");
+  EXPECT_DOUBLE_EQ(sched.makespan().ns(), 100.0);
+  // Blocking waits are not tasks: they move the stream, not the makespan.
+  sched.block_until(s1, Duration::nanos(500));
+  EXPECT_DOUBLE_EQ(sched.makespan().ns(), 100.0);
+  sched.place(s1, Duration::zero(), Duration::nanos(1), "c", "x");
+  EXPECT_DOUBLE_EQ(sched.makespan().ns(), 501.0);
+  EXPECT_DOUBLE_EQ(sched.makespan().ns(), sched.timeline().end_time().ns());
+}
+
+TEST(StreamSchedule, NonRecordingBuildsNoLabels) {
+  StreamSchedule rec;
+  StreamSchedule off{false};
+  EXPECT_TRUE(rec.recording());
+  EXPECT_FALSE(off.recording());
+  int built = 0;
+  const auto label = [&built] {
+    ++built;
+    return std::string{"lazy"};
+  };
+  for (StreamSchedule* sched : {&rec, &off}) {
+    const StreamId s = sched->add_stream("S");
+    const Span a = sched->place(s, Duration::nanos(10), Duration::nanos(5), label, "x");
+    const Span b = sched->place(s, Duration::zero(), Duration::nanos(5), "eager", "x");
+    EXPECT_DOUBLE_EQ(a.end.ns(), 15.0);
+    EXPECT_DOUBLE_EQ(b.start.ns(), 15.0);
+    EXPECT_DOUBLE_EQ(sched->makespan().ns(), 20.0);
+  }
+  EXPECT_EQ(built, 1);  // only the recording schedule asked for its label
+  ASSERT_EQ(rec.timeline().intervals().size(), 2u);
+  EXPECT_EQ(rec.timeline().intervals()[0].label, "lazy");
+  EXPECT_EQ(rec.timeline().intervals()[1].label, "eager");
+  EXPECT_TRUE(off.timeline().intervals().empty());
+  EXPECT_THROW(off.place(StreamId{3}, Duration::zero(), Duration::zero(), label, "y"), Error);
+  EXPECT_THROW(off.place(StreamId{0}, Duration::zero(), Duration::nanos(-1), label, "y"), Error);
+  EXPECT_EQ(built, 1);
+}
+
+TEST(StreamSchedule, ResetFreesStreamsAndKeepsThem) {
+  StreamSchedule sched;
+  const StreamId s = sched.add_stream("S");
+  sched.place(s, Duration::nanos(10), Duration::nanos(5), "a", "x");
+  sched.reset();
+  EXPECT_EQ(sched.stream_count(), 1u);
+  EXPECT_DOUBLE_EQ(sched.free_at(s).ns(), 0.0);
+  EXPECT_DOUBLE_EQ(sched.makespan().ns(), 0.0);
+  EXPECT_TRUE(sched.timeline().intervals().empty());
+  const Span again = sched.place(s, Duration::zero(), Duration::nanos(5), "b", "x");
+  EXPECT_DOUBLE_EQ(again.start.ns(), 0.0);
 }
 
 }  // namespace
