@@ -18,13 +18,12 @@ void BM_DramStreamingTick(benchmark::State& state) {
   const dram::Spec spec = dram::Spec::monde_lpddr5x_8533();
   dram::DramSystem sys{spec};
   const auto block = static_cast<std::uint64_t>(spec.org.access_bytes);
+  const std::uint64_t capacity = spec.org.total_capacity().count();
   std::uint64_t next = 0;
   for (auto _ : state) {
-    while (sys.can_accept(next * block)) {
-      dram::Request r;
-      r.addr = (next * block) % spec.org.total_capacity().count();
-      r.type = dram::Request::Type::kRead;
-      sys.enqueue(std::move(r));
+    for (std::uint64_t addr = (next * block) % capacity; sys.can_accept(addr);
+         addr = (next * block) % capacity) {
+      sys.enqueue({addr, dram::Request::Type::kRead, next});
       ++next;
     }
     sys.tick();

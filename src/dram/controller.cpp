@@ -21,9 +21,16 @@ Stats& Stats::operator+=(const Stats& o) {
   return *this;
 }
 
-ChannelController::ChannelController(const Spec& spec, const AddressMapper& mapper,
-                                     int channel_index)
-    : spec_{spec}, mapper_{mapper}, channel_{channel_index} {
+ChannelController::ChannelController(const Spec& spec, int channel_index,
+                                     const CompletionSink& sink)
+    : spec_{spec},
+      channel_{channel_index},
+      sink_{sink},
+      // At most one CAS issues per cycle and each retires CL/WL + BL cycles
+      // later, so that many transfers (plus the one issued this cycle) can
+      // be in flight.
+      inflight_{static_cast<std::size_t>(std::max(spec.timing.nCL, spec.timing.nWL) +
+                                         spec.timing.nBL + 1)} {
   banks_.resize(static_cast<std::size_t>(spec_.org.banks_per_channel()));
   ranks_.resize(static_cast<std::size_t>(spec_.org.ranks));
   // Stagger refresh across ranks so they do not all block simultaneously.
@@ -50,18 +57,17 @@ bool ChannelController::can_accept() const {
   return read_q_.size() < kQueueCapacity && write_q_.size() < kQueueCapacity;
 }
 
-void ChannelController::enqueue(Request req, std::uint64_t now_cycle) {
-  Address a = mapper_.decompose(req.addr);
+void ChannelController::enqueue(const Request& req, const Address& a, std::uint64_t now_cycle) {
   MONDE_REQUIRE(a.channel == channel_, "request routed to wrong channel");
-  Entry e{std::move(req), a, now_cycle};
+  const Entry e{req, a, now_cycle};
   ranks_[static_cast<std::size_t>(a.rank)].queued_demand++;
-  if (e.req.type == Request::Type::kRead) {
+  if (req.type == Request::Type::kRead) {
     MONDE_REQUIRE(read_q_.size() < kQueueCapacity, "read queue overflow");
-    read_q_.push_back(std::move(e));
+    read_q_.push_back(e);
     if (read_q_.size() <= kSchedulerScanDepth) read_prep_cache_.valid = false;
   } else {
     MONDE_REQUIRE(write_q_.size() < kQueueCapacity, "write queue overflow");
-    write_q_.push_back(std::move(e));
+    write_q_.push_back(e);
     if (write_q_.size() <= kSchedulerScanDepth) write_prep_cache_.valid = false;
   }
 }
@@ -130,8 +136,8 @@ void ChannelController::issue_activate(const Address& a, std::uint64_t c) {
     Bank& sb = bank_at(sib);
     sb.next_act = std::max(sb.next_act, c + static_cast<std::uint64_t>(t.nRRDL));
   }
+  if (r.act_window.size() == kFawActivates) r.act_window.pop_front();
   r.act_window.push_back(c);
-  while (r.act_window.size() > kFawActivates) r.act_window.pop_front();
   ++stats_.activates;
 }
 
@@ -191,7 +197,7 @@ void ChannelController::issue_cas(Entry& e, std::uint64_t c, bool first_service)
   // bus_free_ is monotone, so completions are FIFO; retire() relies on this.
   MONDE_ASSERT(inflight_.empty() || inflight_.back().complete_cycle < data_end,
                "in-flight completions must be FIFO");
-  inflight_.push_back(InFlight{std::move(e.req), data_end, e.enqueue_cycle, is_read});
+  inflight_.push_back(InFlight{e.req, data_end, e.enqueue_cycle, is_read});
 }
 
 void ChannelController::issue_refresh(int rank, std::uint64_t c) {
@@ -245,25 +251,17 @@ bool ChannelController::try_refresh(std::uint64_t c) {
       }
     }
     if (!any_open) {
-      // All banks closed: issue REF once the rank-level ACT timing allows.
-      bool banks_ready = true;
-      for (int fb = 0; fb < spec_.org.banks_per_rank(); ++fb) {
-        Address a;
-        a.rank = static_cast<int>(rk);
-        a.bankgroup = fb / spec_.org.banks_per_group;
-        a.bank = fb % spec_.org.banks_per_group;
-        if (c < bank_at(a).next_pre && bank_at(a).open) banks_ready = false;
-      }
-      if (banks_ready) {
-        issue_refresh(static_cast<int>(rk), c);
-        return true;
-      }
+      // All banks closed: REF issues at once. tRP after the closing PRE is
+      // not enforced -- REF can follow it by one cycle (a known deviation
+      // from JEDEC timing, kept because the pinned results depend on it).
+      issue_refresh(static_cast<int>(rk), c);
+      return true;
     }
   }
   return false;
 }
 
-bool ChannelController::schedule_queue(std::deque<Entry>& q, std::uint64_t c) {
+bool ChannelController::schedule_queue(Ring<Entry>& q, std::uint64_t c) {
   const std::size_t scan = std::min(q.size(), kSchedulerScanDepth);
   PrepCache& cache = prep_cache_for(q);
 
@@ -352,14 +350,14 @@ bool ChannelController::schedule_queue(std::deque<Entry>& q, std::uint64_t c) {
   if (cas_has_slack && try_prep()) return true;
   if (hit_idx != q.size()) {
     issue_cas(q[hit_idx], c, /*first_service=*/true);
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(hit_idx));
+    q.erase(hit_idx);
     on_window_entry_removed(q, cache);
     return true;
   }
   return try_prep();
 }
 
-ChannelController::PrepCache& ChannelController::prep_cache_for(const std::deque<Entry>& q) {
+ChannelController::PrepCache& ChannelController::prep_cache_for(const Ring<Entry>& q) {
   return &q == &read_q_ ? read_prep_cache_ : write_prep_cache_;
 }
 
@@ -368,7 +366,7 @@ void ChannelController::invalidate_prep_caches() {
   write_prep_cache_.valid = false;
 }
 
-void ChannelController::on_window_entry_removed(const std::deque<Entry>& q, PrepCache& cache) {
+void ChannelController::on_window_entry_removed(const Ring<Entry>& q, PrepCache& cache) {
   if (!cache.valid) return;
   // Removing an entry may unblock a PRE whose open row only that (older)
   // entry still wanted.
@@ -395,10 +393,7 @@ void ChannelController::retire(std::uint64_t c, Duration tick_period) {
     } else {
       ++stats_.writes_completed;
     }
-    if (f.req.on_complete) {
-      const Duration t = tick_period * static_cast<double>(c);
-      f.req.on_complete(f.req, t);
-    }
+    if (sink_) sink_(f.req, tick_period * static_cast<double>(c));
     inflight_.pop_front();
   }
 }
@@ -430,7 +425,7 @@ bool ChannelController::idle() const {
   return read_q_.empty() && write_q_.empty() && inflight_.empty();
 }
 
-std::uint64_t ChannelController::sched_bound(const std::deque<Entry>& q, std::uint64_t c) const {
+std::uint64_t ChannelController::sched_bound(const Ring<Entry>& q, std::uint64_t c) const {
   const std::size_t scan = std::min(q.size(), kSchedulerScanDepth);
   std::uint64_t bound = kNeverCycle;
   for (std::size_t i = 0; i < scan; ++i) {

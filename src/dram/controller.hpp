@@ -4,11 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dram/address.hpp"
 #include "dram/request.hpp"
+#include "dram/ring.hpp"
 #include "dram/spec.hpp"
 
 namespace monde::dram {
@@ -16,14 +16,17 @@ namespace monde::dram {
 /// One channel's controller. Owned and ticked by DramSystem.
 class ChannelController {
  public:
-  ChannelController(const Spec& spec, const AddressMapper& mapper, int channel_index);
+  /// `sink` is the owning DramSystem's completion sink; it is read at each
+  /// retirement, so it may be (re)set after construction and may be empty.
+  ChannelController(const Spec& spec, int channel_index, const CompletionSink& sink);
 
   /// True if the (bounded) request queue can take another entry.
   [[nodiscard]] bool can_accept() const;
 
-  /// Enqueue a request already mapped to this channel. `now_cycle` is the
-  /// current controller cycle (used for latency accounting).
-  void enqueue(Request req, std::uint64_t now_cycle);
+  /// Enqueue a request already mapped to this channel; `addr` is its
+  /// decomposed address. `now_cycle` is the current controller cycle (used
+  /// for latency accounting).
+  void enqueue(const Request& req, const Address& addr, std::uint64_t now_cycle);
 
   /// Advance one controller clock cycle: issue at most one command, retire
   /// completed data transfers, handle refresh.
@@ -62,7 +65,7 @@ class ChannelController {
     std::uint64_t next_act = 0;  ///< rank-level ACT constraint (RRD/FAW)
     std::uint64_t next_rd = 0;   ///< rank-level CAS constraints (CCD/WTR)
     std::uint64_t next_wr = 0;
-    std::deque<std::uint64_t> act_window;  ///< last ACT cycles for tFAW
+    Ring<std::uint64_t> act_window{kFawActivates};  ///< last ACT cycles for tFAW
     std::uint64_t refresh_due = 0;
     bool refresh_pending = false;  ///< quiescing: block new work on this rank
     std::size_t queued_demand = 0; ///< queued requests targeting this rank
@@ -123,7 +126,7 @@ class ChannelController {
 
   /// Try to make progress on one queued request; returns true if a command
   /// was issued this cycle.
-  bool schedule_queue(std::deque<Entry>& q, std::uint64_t c);
+  bool schedule_queue(Ring<Entry>& q, std::uint64_t c);
   bool try_refresh(std::uint64_t c);
 
   void retire(std::uint64_t c, Duration tick_period);
@@ -131,24 +134,25 @@ class ChannelController {
   /// Earliest cycle any entry in `q`'s scan window could have a command
   /// issued for it (CAS, PRE, or ACT), ignoring cross-entry ordering rules
   /// (which only delay, never advance, the true issue cycle).
-  [[nodiscard]] std::uint64_t sched_bound(const std::deque<Entry>& q, std::uint64_t c) const;
+  [[nodiscard]] std::uint64_t sched_bound(const Ring<Entry>& q, std::uint64_t c) const;
 
-  [[nodiscard]] PrepCache& prep_cache_for(const std::deque<Entry>& q);
+  [[nodiscard]] PrepCache& prep_cache_for(const Ring<Entry>& q);
   void invalidate_prep_caches();
   /// Incremental prep-cache maintenance after erasing a scan-window entry.
-  void on_window_entry_removed(const std::deque<Entry>& q, PrepCache& cache);
+  void on_window_entry_removed(const Ring<Entry>& q, PrepCache& cache);
 
   const Spec& spec_;
-  const AddressMapper& mapper_;
   int channel_;
+  const CompletionSink& sink_;
 
   std::vector<Bank> banks_;       // [rank][flat_bank] flattened
   std::vector<RankState> ranks_;
-  std::deque<Entry> read_q_;
-  std::deque<Entry> write_q_;
+  Ring<Entry> read_q_{kQueueCapacity};
+  Ring<Entry> write_q_{kQueueCapacity};
   /// FIFO by completion: bus_free_ is monotone, so CAS data transfers
-  /// complete in issue order and retire pops from the front.
-  std::deque<InFlight> inflight_;
+  /// complete in issue order and retire pops from the front. Sized in the
+  /// constructor from the CAS-to-data latency bound.
+  Ring<InFlight> inflight_;
   std::uint64_t bus_free_ = 0;  ///< first cycle the data bus is free
   bool draining_writes_ = false;
   PrepCache read_prep_cache_;

@@ -25,13 +25,20 @@ class DramSystem {
   DramSystem& operator=(const DramSystem&) = delete;
 
   /// Channel a byte address maps to (for admission control).
-  [[nodiscard]] int channel_of(std::uint64_t addr) const;
+  [[nodiscard]] int channel_of(std::uint64_t addr) const { return mapper_.channel_of(addr); }
 
   /// True if the owning channel can take another request.
-  [[nodiscard]] bool can_accept(std::uint64_t addr) const;
+  [[nodiscard]] bool can_accept(std::uint64_t addr) const {
+    return channels_[static_cast<std::size_t>(channel_of(addr))]->can_accept();
+  }
 
-  /// Enqueue a request. Requires can_accept(addr).
-  void enqueue(Request req);
+  /// Enqueue a request. Requires can_accept(req.addr).
+  void enqueue(const Request& req);
+
+  /// Install the completion sink every request of this system reports to,
+  /// keyed by Request::id. Without one, completions are only counted in
+  /// stats().
+  void set_on_complete(CompletionSink sink) { on_complete_ = std::move(sink); }
 
   /// Advance one controller cycle on every channel.
   void tick();
@@ -84,6 +91,8 @@ class DramSystem {
  private:
   Spec spec_;
   AddressMapper mapper_;
+  /// Referenced by every channel, so it outlives them (declared first).
+  CompletionSink on_complete_;
   std::vector<std::unique_ptr<ChannelController>> channels_;
   std::uint64_t cycle_ = 0;
   bool exhaustive_tick_ = exhaustive_tick_env_default();

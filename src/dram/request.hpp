@@ -15,12 +15,16 @@ struct Request {
 
   std::uint64_t addr = 0;
   Type type = Type::kRead;
-  std::uint64_t id = 0;  ///< caller-assigned tag, echoed on completion
-
-  /// Called at the cycle the data transfer finishes (read data returned /
-  /// write data accepted by the device). May be empty.
-  std::function<void(const Request&, Duration completion_time)> on_complete;
+  /// Caller-assigned tag, echoed to the DramSystem completion sink so the
+  /// caller can route the completion without a per-request callback.
+  std::uint64_t id = 0;
 };
+
+/// Completion sink: called once per request at the cycle its data transfer
+/// finishes (read data returned / write data accepted by the device). A
+/// DramSystem holds one sink for all its requests; callers tell requests
+/// apart by Request::id.
+using CompletionSink = std::function<void(const Request&, Duration completion_time)>;
 
 /// Aggregate statistics across the device (or one channel).
 struct Stats {

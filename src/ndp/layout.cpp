@@ -1,15 +1,23 @@
 #include "ndp/layout.hpp"
 
+#include <bit>
+
 #include "common/error.hpp"
 
 namespace monde::ndp {
 
 PartitionLayout::PartitionLayout(const dram::Spec& spec, const dram::AddressMapper& mapper,
                                  Partition part)
-    : spec_{&spec}, mapper_{&mapper}, part_{part} {
+    : spec_{&spec}, part_{part}, offset_bits_{mapper.offset_bits()} {
   MONDE_REQUIRE(spec.org.banks_per_group % 2 == 0,
                 "bank partitioning needs an even number of banks per group");
   const auto& org = spec.org;
+  // Every dimension is a power of two (Spec::validate), so log2 of the
+  // product is the bit width of the fields below the bank.
+  parity_shift_ = std::countr_zero(static_cast<std::uint64_t>(org.channels) *
+                                   static_cast<std::uint64_t>(org.columns) *
+                                   static_cast<std::uint64_t>(org.ranks) *
+                                   static_cast<std::uint64_t>(org.bankgroups));
   block_count_ = static_cast<std::uint64_t>(org.channels) *
                  static_cast<std::uint64_t>(org.columns) *
                  static_cast<std::uint64_t>(org.ranks) *
@@ -24,27 +32,17 @@ Bytes PartitionLayout::capacity() const {
 
 std::uint64_t PartitionLayout::block_address(std::uint64_t index) const {
   MONDE_REQUIRE(index < block_count_, "partition block index out of range");
-  const auto& org = spec_->org;
   // Enumerate channel fastest -> column -> rank -> bank group -> bank pair ->
   // row slowest. This mirrors the ro-ba-bg-ra-co-ch physical order with the
   // bank LSB pinned to the partition parity, so contiguous logical blocks
   // stripe across all channels and open rows stay hot for whole sweeps.
-  std::uint64_t v = index;
-  auto take = [&v](int n) {
-    const auto f = static_cast<int>(v % static_cast<std::uint64_t>(n));
-    v /= static_cast<std::uint64_t>(n);
-    return f;
-  };
-  dram::Address a;
-  a.channel = take(org.channels);
-  a.column = take(org.columns);
-  a.rank = take(org.ranks);
-  a.bankgroup = take(org.bankgroups);
-  const int bank_pair = take(org.banks_per_group / 2);
-  a.bank = bank_pair * 2 + (part_ == Partition::kActivations ? 1 : 0);
-  a.row = take(org.rows);
-  MONDE_ASSERT(v == 0, "block index decomposition overflow");
-  return mapper_->compose(a);
+  // Because the logical order is the physical bit order with the parity bit
+  // removed, the mapping is a bit splice rather than a div/mod decomposition.
+  const std::uint64_t low_mask = (std::uint64_t{1} << parity_shift_) - 1;
+  const std::uint64_t parity = part_ == Partition::kActivations ? 1 : 0;
+  const std::uint64_t v = (index & low_mask) | (parity << parity_shift_) |
+                          ((index & ~low_mask) << 1);
+  return v << offset_bits_;
 }
 
 std::uint64_t PartitionLayout::blocks_for(Bytes bytes) const {

@@ -45,9 +45,13 @@ class PartitionLayout {
 
  private:
   const dram::Spec* spec_;
-  const dram::AddressMapper* mapper_;
   Partition part_;
   std::uint64_t block_count_;
+  /// Closed-form enumeration (see block_address): index bits below
+  /// `parity_shift_` (channel, column, rank, bank group) keep their place,
+  /// the rest (bank pair, row) move up one bit past the bank-parity bit.
+  int parity_shift_;
+  int offset_bits_;
 };
 
 }  // namespace monde::ndp

@@ -164,18 +164,40 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
   std::uint64_t a_cursor = 0;
   std::uint64_t c_cursor = acts.block_count() / 2;
 
+  // Per-kernel completion state, read by the system's one completion sink.
+  // Every request carries its chunk index in Request::id; a kernel drains
+  // the DRAM system before the next one starts, so the sink always sees the
+  // current kernel's state.
+  Duration t0;
+  std::vector<Duration> load_done;
+  std::vector<std::uint64_t> loads_remaining;
+  Duration last_store_done;
+  bool chunk_completed = false;  // some chunk's last load retired
+  dramsys.set_on_complete([&](const dram::Request& req, Duration t) {
+    if (req.type == dram::Request::Type::kWrite) {
+      last_store_done = max(last_store_done, t);
+      return;
+    }
+    const auto chunk_idx = static_cast<std::size_t>(req.id);
+    MONDE_ASSERT(loads_remaining[chunk_idx] > 0, "duplicate load completion");
+    if (--loads_remaining[chunk_idx] == 0) {
+      load_done[chunk_idx] = max(t, t0);
+      chunk_completed = true;
+    }
+  });
+
   for (const auto& chunks : kernels) {
     if (chunks.empty()) continue;
     const std::size_t total = chunks.size();
     // Kernel may start only after the previous kernel in the chain is done
     // (linear2 consumes linear1's output) plus instruction decode.
-    const Duration t0 = kernel_chain_end + ndp_.kernel_decode;
+    t0 = kernel_chain_end + ndp_.kernel_decode;
 
-    std::vector<Duration> load_done(total, Duration::zero());
-    std::vector<std::uint64_t> loads_remaining(total, 0);
+    load_done.assign(total, Duration::zero());
+    loads_remaining.assign(total, 0);
     std::vector<Duration> compute_start(total, Duration::zero());
     std::vector<Duration> compute_end(total, Duration::zero());
-    Duration last_store_done = t0;
+    last_store_done = t0;
 
     // Pending DRAM work, generated lazily per chunk.
     struct PendingReq {
@@ -215,7 +237,7 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     std::size_t consumed_ptr = 0;  // chunks whose compute has finished by now()
 
     Duration compute_free = t0;
-    bool chunk_completed = false;  // some chunk's last load retired
+    chunk_completed = false;
 
     auto all_loads_done = [&](std::size_t idx) { return loads_remaining[idx] == 0; };
 
@@ -223,18 +245,7 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
     auto pump_loads = [&] {
       while (!inject.empty() && dramsys.can_accept(inject.front().addr)) {
         const PendingReq& pr = inject.front();
-        dram::Request req;
-        req.addr = pr.addr;
-        req.type = dram::Request::Type::kRead;
-        const std::size_t chunk_idx = pr.chunk;
-        req.on_complete = [&, chunk_idx](const dram::Request&, Duration t) {
-          MONDE_ASSERT(loads_remaining[chunk_idx] > 0, "duplicate load completion");
-          if (--loads_remaining[chunk_idx] == 0) {
-            load_done[chunk_idx] = max(t, t0);
-            chunk_completed = true;
-          }
-        };
-        dramsys.enqueue(std::move(req));
+        dramsys.enqueue({pr.addr, dram::Request::Type::kRead, pr.chunk});
         inject.pop_front();
       }
     };
@@ -262,13 +273,7 @@ NdpKernelResult NdpCoreSim::run_pipeline(const std::vector<std::vector<Chunk>>& 
         const PendingReq& pr = deferred_stores.front();
         if (store_release[pr.chunk] > now) break;
         if (!dramsys.can_accept(pr.addr)) break;
-        dram::Request req;
-        req.addr = pr.addr;
-        req.type = dram::Request::Type::kWrite;
-        req.on_complete = [&](const dram::Request&, Duration t) {
-          last_store_done = max(last_store_done, t);
-        };
-        dramsys.enqueue(std::move(req));
+        dramsys.enqueue({pr.addr, dram::Request::Type::kWrite, pr.chunk});
         deferred_stores.pop_front();
       }
 

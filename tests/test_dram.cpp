@@ -111,11 +111,11 @@ TEST(DramSystem, ColdReadLatency) {
   const Spec s = small_spec();
   DramSystem sys{s};
   Duration done = Duration::zero();
+  sys.set_on_complete([&](const Request&, Duration t) { done = t; });
   Request req;
   req.addr = 0;
   req.type = Request::Type::kRead;
-  req.on_complete = [&](const Request&, Duration t) { done = t; };
-  sys.enqueue(std::move(req));
+  sys.enqueue(req);
   sys.run_until_idle();
   const double expected_cycles = s.timing.nRCD + s.timing.nCL + s.timing.nBL;
   const double actual_cycles = done.ns() / s.clock_period().ns();
@@ -130,17 +130,10 @@ TEST(DramSystem, RowHitFasterThanRowMiss) {
   auto measure_pair = [&](std::uint64_t addr2) {
     DramSystem sys{s};
     Duration t1, t2;
-    Request r1;
-    r1.addr = 0;
-    r1.type = Request::Type::kRead;
-    r1.on_complete = [&](const Request&, Duration t) { t1 = t; };
-    sys.enqueue(std::move(r1));
+    sys.set_on_complete([&](const Request& r, Duration t) { (r.id == 1 ? t1 : t2) = t; });
+    sys.enqueue({0, Request::Type::kRead, 1});
     sys.run_until_idle();
-    Request r2;
-    r2.addr = addr2;
-    r2.type = Request::Type::kRead;
-    r2.on_complete = [&](const Request&, Duration t) { t2 = t; };
-    sys.enqueue(std::move(r2));
+    sys.enqueue({addr2, Request::Type::kRead, 2});
     sys.run_until_idle();
     return (t2 - t1).ns();
   };
@@ -166,13 +159,13 @@ TEST(DramSystem, StreamingReachesHighBandwidth) {
   const std::uint64_t total = 40000;
   std::uint64_t next = 0;
   std::uint64_t completed = 0;
+  sys.set_on_complete([&](const Request&, Duration) { ++completed; });
   while (completed < total) {
     while (next < total && sys.can_accept(next * block)) {
       Request r;
       r.addr = next * block;
       r.type = Request::Type::kRead;
-      r.on_complete = [&](const Request&, Duration) { ++completed; };
-      sys.enqueue(std::move(r));
+      sys.enqueue(r);
       ++next;
     }
     sys.tick();
@@ -191,7 +184,7 @@ TEST(DramSystem, RefreshesAreIssued) {
     Request r;
     r.addr = static_cast<std::uint64_t>(epoch) * block;
     r.type = Request::Type::kRead;
-    sys.enqueue(std::move(r));
+    sys.enqueue(r);
     for (int i = 0; i < s.timing.nREFI; ++i) sys.tick();
   }
   sys.run_until_idle();
@@ -203,13 +196,13 @@ TEST(DramSystem, WritesCompleteAndDrain) {
   DramSystem sys{s};
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   std::uint64_t completed = 0;
+  sys.set_on_complete([&](const Request&, Duration) { ++completed; });
   for (std::uint64_t i = 0; i < 100; ++i) {
     while (!sys.can_accept(i * block)) sys.tick();
     Request r;
     r.addr = i * block;
     r.type = Request::Type::kWrite;
-    r.on_complete = [&](const Request&, Duration) { ++completed; };
-    sys.enqueue(std::move(r));
+    sys.enqueue(r);
   }
   sys.run_until_idle();
   EXPECT_EQ(completed, 100u);
@@ -224,6 +217,7 @@ TEST(DramSystem, MixedReadWriteConserved) {
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   const std::uint64_t blocks = s.org.total_capacity().count() / block;
   std::uint64_t completed = 0;
+  sys.set_on_complete([&](const Request&, Duration) { ++completed; });
   const std::uint64_t total = 2000;
   std::uint64_t issued = 0;
   while (completed < total) {
@@ -233,13 +227,72 @@ TEST(DramSystem, MixedReadWriteConserved) {
       Request r;
       r.addr = addr;
       r.type = (rng.next_u64() & 1) ? Request::Type::kWrite : Request::Type::kRead;
-      r.on_complete = [&](const Request&, Duration) { ++completed; };
-      sys.enqueue(std::move(r));
+      sys.enqueue(r);
       ++issued;
     }
     sys.tick();
   }
   EXPECT_EQ(sys.stats().reads_completed + sys.stats().writes_completed, total);
+}
+
+TEST(DramSystem, CompletionSinkSeesEveryIdOnceWithItsType) {
+  const Spec s = small_spec();
+  DramSystem sys{s};
+  Rng rng{11};
+  const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
+  const std::uint64_t blocks = s.org.total_capacity().count() / block;
+  constexpr std::uint64_t kTotal = 3000;
+
+  std::vector<Request::Type> sent(kTotal);
+  std::vector<int> seen(kTotal, 0);
+  std::vector<Duration> last_done(static_cast<std::size_t>(s.org.channels), Duration::zero());
+  sys.set_on_complete([&](const Request& r, Duration t) {
+    ASSERT_LT(r.id, kTotal);
+    ++seen[r.id];
+    EXPECT_EQ(r.type, sent[r.id]) << "id " << r.id;
+    // Completions retire in data-bus order, so never go back in time on a
+    // channel.
+    Duration& last = last_done[static_cast<std::size_t>(sys.channel_of(r.addr))];
+    EXPECT_GE(t.ns(), last.ns()) << "id " << r.id;
+    last = t;
+  });
+
+  std::uint64_t id = 0;
+  while (id < kTotal) {
+    // Mostly sequential (row hits), with random jumps (conflicts).
+    const std::uint64_t addr = (rng.next_u64() % 4 == 0 ? rng.next_u64() % blocks : id) * block;
+    if (sys.can_accept(addr)) {
+      sent[id] = (rng.next_u64() % 3 == 0) ? Request::Type::kWrite : Request::Type::kRead;
+      sys.enqueue({addr, sent[id], id});
+      ++id;
+    } else {
+      sys.advance();
+    }
+  }
+  sys.run_until_idle();
+  for (std::uint64_t i = 0; i < kTotal; ++i) EXPECT_EQ(seen[i], 1) << "id " << i;
+}
+
+TEST(DramSystem, DrainsWithoutACompletionSink) {
+  // Callers that only read stats() (bandwidth probes, micro-benchmarks)
+  // install no sink; completions must still retire and be counted.
+  const Spec s = small_spec();
+  DramSystem sys{s};
+  const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
+  std::uint64_t next = 0;
+  while (next < 500) {
+    if (sys.can_accept(next * block)) {
+      const auto type = next % 4 == 0 ? Request::Type::kWrite : Request::Type::kRead;
+      sys.enqueue({next * block, type, next});
+      ++next;
+    } else {
+      sys.advance();
+    }
+  }
+  sys.run_until_idle();
+  EXPECT_TRUE(sys.idle());
+  EXPECT_EQ(sys.stats().writes_completed, 125u);
+  EXPECT_EQ(sys.stats().reads_completed, 375u);
 }
 
 TEST(DramSystem, EnqueueWithoutAdmissionCheckThrows) {
@@ -253,13 +306,13 @@ TEST(DramSystem, EnqueueWithoutAdmissionCheckThrows) {
     Request r;
     r.addr = i * chan_stride;  // always channel 0
     r.type = Request::Type::kRead;
-    sys.enqueue(std::move(r));
+    sys.enqueue(r);
     ++i;
   }
   Request r;
   r.addr = i * chan_stride;
   r.type = Request::Type::kRead;
-  EXPECT_THROW(sys.enqueue(std::move(r)), Error);
+  EXPECT_THROW(sys.enqueue(r), Error);
 }
 
 // Property sweep: achieved bandwidth scales with the data-rate knob
@@ -273,13 +326,13 @@ TEST_P(BandwidthScaleTest, StreamingTracksScale) {
   const auto block = static_cast<std::uint64_t>(s.org.access_bytes);
   const std::uint64_t total = 20000;
   std::uint64_t next = 0, completed = 0;
+  sys.set_on_complete([&](const Request&, Duration) { ++completed; });
   while (completed < total) {
     while (next < total && sys.can_accept(next * block)) {
       Request r;
       r.addr = next * block;
       r.type = Request::Type::kRead;
-      r.on_complete = [&](const Request&, Duration) { ++completed; };
-      sys.enqueue(std::move(r));
+      sys.enqueue(r);
       ++next;
     }
     sys.tick();

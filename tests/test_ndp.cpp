@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "dram/dram_system.hpp"
@@ -76,6 +79,82 @@ TEST(PartitionLayout, ConsecutiveBlocksStripeChannels) {
     EXPECT_EQ(a.channel, i);
   }
 }
+
+/// Reference enumeration: decompose the logical index field by field
+/// (channel fastest, then column, rank, bank group, bank pair, row) and
+/// compose the physical address with the partition's bank parity.
+std::uint64_t reference_block_address(const dram::Spec& spec, const dram::AddressMapper& mapper,
+                                      Partition part, std::uint64_t index) {
+  const auto& org = spec.org;
+  auto take = [&index](int n) {
+    const auto f = static_cast<int>(index % static_cast<std::uint64_t>(n));
+    index /= static_cast<std::uint64_t>(n);
+    return f;
+  };
+  dram::Address a;
+  a.channel = take(org.channels);
+  a.column = take(org.columns);
+  a.rank = take(org.ranks);
+  a.bankgroup = take(org.bankgroups);
+  a.bank = 2 * take(org.banks_per_group / 2) + (part == Partition::kActivations ? 1 : 0);
+  a.row = take(org.rows);
+  EXPECT_EQ(index, 0u) << "index beyond the partition";
+  return mapper.compose(a);
+}
+
+class PartitionLayoutOrder
+    : public ::testing::TestWithParam<std::tuple<bool /*small spec*/, Partition>> {};
+
+TEST_P(PartitionLayoutOrder, MatchesFieldByFieldEnumeration) {
+  const auto [small, part] = GetParam();
+  dram::Spec spec = dram::Spec::monde_lpddr5x_8533();
+  if (small) {
+    spec.org.channels = 2;
+    spec.org.ranks = 2;
+    spec.org.rows = 256;
+  }
+  const dram::AddressMapper mapper{spec};
+  const PartitionLayout layout{spec, mapper, part};
+  const std::uint64_t count = layout.block_count();
+
+  std::vector<std::uint64_t> indices{0, 1, count / 2, count - 2, count - 1};
+  // Strides co-prime to every power-of-two field width visit all digits.
+  for (std::uint64_t i = 0; i < count; i += count / 997 + 1) indices.push_back(i);
+  for (std::uint64_t i = 0; i < 4096; ++i) indices.push_back(i * 12345 % count);
+  for (const std::uint64_t i : indices) {
+    ASSERT_EQ(layout.block_address(i), reference_block_address(spec, mapper, part, i))
+        << "index " << i;
+  }
+
+  // Consecutive blocks walk the channels first, then wrap to the next column.
+  const auto channels = static_cast<std::uint64_t>(spec.org.channels);
+  for (std::uint64_t i = 0; i + 1 < 4 * channels; ++i) {
+    const dram::Address a = mapper.decompose(layout.block_address(i));
+    const dram::Address b = mapper.decompose(layout.block_address(i + 1));
+    if ((i + 1) % channels != 0) {
+      EXPECT_EQ(b.channel, a.channel + 1) << "index " << i;
+      EXPECT_EQ(b.column, a.column);
+      EXPECT_EQ(b.row, a.row);
+      EXPECT_EQ(b.flat_bank(spec.org), a.flat_bank(spec.org));
+    } else {
+      EXPECT_EQ(b.channel, 0) << "index " << i;
+      EXPECT_EQ(b.column, a.column + 1);
+    }
+  }
+
+  EXPECT_THROW((void)layout.block_address(count), Error);
+  EXPECT_THROW((void)layout.block_address(~std::uint64_t{0}), Error);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SpecsAndPartitions, PartitionLayoutOrder,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(Partition::kWeights, Partition::kActivations)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param) ? "SmallSpec" : "MondeSpec";
+      name += std::get<1>(info.param) == Partition::kWeights ? "Weights" : "Activations";
+      return name;
+    });
 
 TEST(PartitionLayout, BlocksForRoundsUp) {
   const dram::Spec spec = test_mem();
