@@ -25,8 +25,8 @@ namespace monde::bench {
 ///   [--json <path>]    also emit deterministic metrics as JSON (the bench
 ///                      regression gate: scripts/check_bench_budget.py
 ///                      compares them against bench/budgets.json)
-///   [--threads <n>]    worker threads for the cluster benches' parallel
-///                      advancement phase (ClusterConfig::threads). Results
+///   [--threads <n>]    worker threads for the cluster benches' final drain
+///                      (ClusterConfig::threads). Results
 ///                      are bit-identical across thread counts -- the 132
 ///                      pinned budget metrics never move -- only wall-clock
 ///                      does. Default 1.

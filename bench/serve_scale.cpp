@@ -14,7 +14,7 @@
 //   ./bench/serve_scale --smoke            512 replicas, 50k requests (CI)
 //   ./bench/serve_scale                    10k replicas, 1M requests (nightly)
 //   ./bench/serve_scale --smoke --json f   + deterministic metrics
-//   ./bench/serve_scale --threads 8        parallel advancement (bit-identical
+//   ./bench/serve_scale --threads 8        parallel final drain (bit-identical
 //                                          results; only wall-clock moves)
 //   ./bench/serve_scale --perf p.json      wall-clock record for the
 //                                          perf-trend gate (check_perf_trend.py)
@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
   serve::ClusterConfig ccfg;
   ccfg.event_log_enabled = false;  // nobody reads 1M requests' worth of detail strings
   ccfg.threads = args.threads;     // bit-identical results; only wall-clock moves
-  // Phase split for the perf-trend dashboard: shows whether the sequential
-  // dispatch/commit phases dominate once advancement parallelizes. Only the
+  // Phase split for the perf-trend dashboard: advancement (its final drain
+  // runs on --threads) vs the dispatch and commit phases. Only the
   // --perf record reads it; simulated metrics are identical either way.
   ccfg.measure_phases = !args.perf_path.empty();
 
@@ -150,7 +150,8 @@ int main(int argc, char** argv) {
   // reference loop can still stomach. Identity is also pinned by
   // tests/test_calendar_diff.cpp; here it guards the exact configuration the
   // scale run above uses -- including its thread count, so a --threads 4 CI
-  // run diffs the PARALLEL calendar loop against the sequential reference --
+  // run diffs the calendar loop's PARALLEL drain against the sequential
+  // reference --
   // and yields the honest speedup number.
   {
     const std::size_t dr = smoke ? 64 : 128;

@@ -8,7 +8,8 @@ runtime (a `--perf` record: {"bench", "threads", "wall_s"} plus optional
 per-phase keys "advance_s"/"dispatch_s"/"commit_s") to a retained history
 file, and this script gates the newest sample against the trailing median of
 its own (bench, threads) group. The phase split shows where the wall-clock
-went (parallel advancement vs sequential dispatch and commit); by default it
+went (advancement, whose final drain runs on threads, vs dispatch and
+commit); by default it
 is display-only, but --max-phase-share turns it into a gate: a sequential
 phase swelling past its share cap fails the run even when total wall_s still
 squeaks under the regression band. A slow sample on an unlucky runner widens

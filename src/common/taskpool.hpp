@@ -3,8 +3,8 @@
 // TaskPool::run(n, fn) executes fn(i) for every index i in [0, n) across a
 // fixed set of worker threads (the calling thread participates too) and
 // blocks until every index has run. It is built for the cluster simulator's
-// parallel advancement phase (serve/cluster.cpp), whose requirements shape
-// the contract:
+// parallel drain (serve/cluster.cpp), whose requirements shape the
+// contract:
 //
 //   * Index-addressed work, not futures. Tasks are independent by
 //     construction (each index touches its own replica); the pool never

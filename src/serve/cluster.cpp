@@ -7,7 +7,6 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -119,23 +118,25 @@ void ClusterSim::update_ewma(Replica& r) {
   }
 }
 
+ReplicaSnapshot ClusterSim::snapshot(std::size_t i, Duration now) const {
+  const Replica& r = replicas_[i];
+  return ReplicaSnapshot{i,
+                         r.server->in_flight(),
+                         r.server->outstanding_tokens(),
+                         /*accepting=*/!r.detected && !r.retired,
+                         /*warming=*/r.server->start_at() > now,
+                         (now - last_ok_heartbeat(now, r.server->fault().fail_at, cfg_.health))
+                             .ms(),
+                         r.ewma_ms,
+                         r.server->expert_signature(),
+                         r.server->prefix_signature(),
+                         r.prefill};
+}
+
 std::vector<ReplicaSnapshot> ClusterSim::snapshots(Duration now) const {
-  std::vector<ReplicaSnapshot> snaps(replicas_.size());
-  for (std::size_t i = 0; i < replicas_.size(); ++i) {
-    const Replica& r = replicas_[i];
-    snaps[i] = ReplicaSnapshot{i,
-                               r.server->in_flight(),
-                               r.server->outstanding_tokens(),
-                               /*accepting=*/!r.detected && !r.retired,
-                               /*warming=*/r.server->start_at() > now,
-                               (now - last_ok_heartbeat(now, r.server->fault().fail_at,
-                                                        cfg_.health))
-                                   .ms(),
-                               r.ewma_ms,
-                               r.server->expert_signature(),
-                               r.server->prefix_signature(),
-                               r.prefill};
-  }
+  std::vector<ReplicaSnapshot> snaps;
+  snaps.reserve(replicas_.size());
+  for (std::size_t i = 0; i < replicas_.size(); ++i) snaps.push_back(snapshot(i, now));
   return snaps;
 }
 
@@ -170,14 +171,9 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   MONDE_REQUIRE(!used_, "ClusterSim::run() may be called only once");
   used_ = true;
   const bool fast = !cfg_.reference_loop;
-  // With a finite slow_ewma_factor the median cutoff is maintained
-  // incrementally too (running median + write-through fast set, below), so
-  // the eligible index serves every fast-mode config.
-  const bool ewma_filter = fast && std::isfinite(cfg_.health.slow_ewma_factor);
-  // Worker pool for the parallel advancement phase. threads == 1 builds no
-  // pool at all: the loop below is then the plain sequential path.
-  std::unique_ptr<common::TaskPool> pool;
-  if (fast && cfg_.threads > 1) pool = std::make_unique<common::TaskPool>(cfg_.threads);
+  // A finite slow_ewma_factor filters each dispatch's accepting set through
+  // eligible_snapshots() (see the dispatch below).
+  const bool ewma_filter = std::isfinite(cfg_.health.slow_ewma_factor);
 
   // --- Arrival intake: lazy stream head + duplicate/order policing --------
   std::unordered_map<std::uint64_t, Duration> original_arrival;
@@ -325,159 +321,19 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   std::vector<ReplicaSnapshot> eligible;
   std::vector<std::size_t> epos;            // replica index -> slot in `eligible`
   std::vector<std::size_t> time_sensitive;  // replicas with time-varying fields
-  const auto make_snapshot = [&](std::size_t i, Duration now) {
-    const Replica& r = replicas_[i];
-    return ReplicaSnapshot{i,
-                           r.server->in_flight(),
-                           r.server->outstanding_tokens(),
-                           /*accepting=*/!r.detected && !r.retired,
-                           /*warming=*/r.server->start_at() > now,
-                           (now - last_ok_heartbeat(now, r.server->fault().fail_at,
-                                                    cfg_.health))
-                               .ms(),
-                           r.ewma_ms,
-                           r.server->expert_signature(),
-                           r.server->prefix_signature(),
-                           r.prefill};
-  };
-
-  // --- Incremental slow-EWMA filter (finite factor only) ------------------
-  // eligible_snapshots()'s soft filter, maintained instead of rebuilt: a
-  // two-multiset running median over the positive step EWMAs of eligible
-  // replicas reproduces percentile(ewmas, 50) bit-for-bit (the R-7
-  // interpolation weight at q=50 is exactly 0.0 for odd counts and 0.5 for
-  // even ones), `by_ewma` orders those replicas by EWMA so a cutoff move
-  // flips exactly the replicas in the crossed interval, and `fast_eligible`
-  // mirrors the EWMA <= cutoff subsequence of `eligible` (same ascending
-  // replica order; zero-EWMA replicas always qualify since the cutoff is
-  // positive -- factor > 1 -- or infinite when no positive EWMA exists).
-  std::multiset<double> med_lo;  // lower half; its max is the lower median
-  std::multiset<double> med_hi;  // upper half; its min is the upper median
-  std::multiset<std::pair<double, std::size_t>> by_ewma;  // positive (ewma, replica)
-  std::vector<ReplicaSnapshot> fast_eligible;  // the EWMA <= cutoff subsequence
-  std::vector<std::size_t> fpos;  // replica index -> slot in `fast_eligible`
-  double cutoff = std::numeric_limits<double>::infinity();
-  const auto med_rebalance = [&] {
-    if (med_lo.size() > med_hi.size() + 1) {
-      const auto it = std::prev(med_lo.end());
-      med_hi.insert(*it);
-      med_lo.erase(it);
-    } else if (med_hi.size() > med_lo.size()) {
-      const auto it = med_hi.begin();
-      med_lo.insert(*it);
-      med_hi.erase(it);
-    }
-  };
-  const auto med_insert = [&](double x) {
-    if (med_lo.empty() || x <= *std::prev(med_lo.end())) {
-      med_lo.insert(x);
-    } else {
-      med_hi.insert(x);
-    }
-    med_rebalance();
-  };
-  const auto med_erase = [&](double x) {
-    if (const auto it = med_lo.find(x); it != med_lo.end()) {
-      med_lo.erase(it);
-    } else {
-      med_hi.erase(med_hi.find(x));
-    }
-    med_rebalance();
-  };
-  const auto current_cutoff = [&]() -> double {
-    const std::size_t k = med_lo.size() + med_hi.size();
-    if (k == 0) return std::numeric_limits<double>::infinity();
-    double median;
-    if (k % 2 == 1) {
-      median = *std::prev(med_lo.end());
-    } else {
-      const double a = *std::prev(med_lo.end());
-      const double b = *med_hi.begin();
-      median = a + (b - a) * 0.5;  // sorted_percentile's exact arithmetic
-    }
-    return median * cfg_.health.slow_ewma_factor;
-  };
-  const auto set_fast_member = [&](std::size_t i, bool member) {
-    fpos.resize(replicas_.size(), kNoSlot);
-    if (member == (fpos[i] != kNoSlot)) return;  // idempotent
-    if (member) {
-      const auto at = std::lower_bound(
-          fast_eligible.begin(), fast_eligible.end(), i,
-          [](const ReplicaSnapshot& s, std::size_t idx) { return s.replica < idx; });
-      const auto slot = static_cast<std::size_t>(at - fast_eligible.begin());
-      fast_eligible.insert(at, eligible[epos[i]]);
-      for (std::size_t p = slot; p < fast_eligible.size(); ++p) {
-        fpos[fast_eligible[p].replica] = p;
-      }
-    } else {
-      const std::size_t slot = fpos[i];
-      fast_eligible.erase(fast_eligible.begin() + static_cast<std::ptrdiff_t>(slot));
-      fpos[i] = kNoSlot;
-      for (std::size_t p = slot; p < fast_eligible.size(); ++p) {
-        fpos[fast_eligible[p].replica] = p;
-      }
-    }
-  };
-  // Move the cutoff: only replicas whose EWMA lies in the crossed interval
-  // (lo, hi] can change sides, and by_ewma hands us exactly those.
-  const auto apply_cutoff = [&](double next) {
-    if (next == cutoff) return;
-    const double lo = std::min(cutoff, next);
-    const double hi = std::max(cutoff, next);
-    cutoff = next;
-    constexpr std::size_t kMaxIdx = std::numeric_limits<std::size_t>::max();
-    const auto last = by_ewma.upper_bound({hi, kMaxIdx});
-    for (auto it = by_ewma.upper_bound({lo, kMaxIdx}); it != last; ++it) {
-      set_fast_member(it->second, it->first <= cutoff);
-    }
-  };
-  const auto filter_add = [&](std::size_t i, double ewma) {
-    if (!ewma_filter) return;
-    if (ewma > 0.0) {
-      med_insert(ewma);
-      by_ewma.insert({ewma, i});
-    }
-    apply_cutoff(current_cutoff());
-    set_fast_member(i, ewma <= cutoff);
-  };
-  const auto filter_remove = [&](std::size_t i, double ewma) {
-    if (!ewma_filter) return;
-    set_fast_member(i, false);
-    if (ewma > 0.0) {
-      med_erase(ewma);
-      by_ewma.erase(by_ewma.find({ewma, i}));
-    }
-    apply_cutoff(current_cutoff());
-  };
-  const auto filter_update = [&](std::size_t i, double old_ewma, double new_ewma) {
-    if (!ewma_filter || old_ewma == new_ewma) return;
-    if (old_ewma > 0.0) {
-      med_erase(old_ewma);
-      by_ewma.erase(by_ewma.find({old_ewma, i}));
-    }
-    if (new_ewma > 0.0) {
-      med_insert(new_ewma);
-      by_ewma.insert({new_ewma, i});
-    }
-    apply_cutoff(current_cutoff());
-    set_fast_member(i, new_ewma <= cutoff);
-  };
-
   const auto eligible_add = [&](std::size_t i, Duration now) {
     if (!fast) return;
     epos.resize(replicas_.size(), kNoSlot);
     epos[i] = eligible.size();
-    eligible.push_back(make_snapshot(i, now));
+    eligible.push_back(snapshot(i, now));
     if (replicas_[i].server->start_at() > now || replicas_[i].server->fault().fail_stop()) {
       time_sensitive.push_back(i);
     }
-    filter_add(i, replicas_[i].ewma_ms);
   };
   const auto eligible_remove = [&](std::size_t i) {
     if (!fast) return;
     const std::size_t at = epos[i];
     if (at == kNoSlot) return;
-    filter_remove(i, eligible[at].step_ewma_ms);
     eligible.erase(eligible.begin() + static_cast<std::ptrdiff_t>(at));
     epos[i] = kNoSlot;
     for (std::size_t p = at; p < eligible.size(); ++p) epos[eligible[p].replica] = p;
@@ -487,16 +343,11 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
     const std::size_t at = epos[i];
     if (at == kNoSlot) return;
     ReplicaSnapshot& s = eligible[at];
-    const double old_ewma = s.step_ewma_ms;
     s.in_flight = replicas_[i].server->in_flight();
     s.outstanding_tokens = replicas_[i].server->outstanding_tokens();
     s.step_ewma_ms = replicas_[i].ewma_ms;
     s.expert_sig = replicas_[i].server->expert_signature();
     s.prefix_sig = replicas_[i].server->prefix_signature();
-    if (ewma_filter) {
-      if (fpos[i] != kNoSlot) fast_eligible[fpos[i]] = s;  // mirror load fields
-      filter_update(i, old_ewma, s.step_ewma_ms);
-    }
   };
   const auto refresh_time_sensitive = [&](Duration now) {
     std::size_t keep = 0;
@@ -509,11 +360,6 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         s.warming = warming;
         s.heartbeat_age_ms =
             (now - last_ok_heartbeat(now, r.server->fault().fail_at, cfg_.health)).ms();
-        if (ewma_filter && fpos[i] != kNoSlot) {
-          ReplicaSnapshot& f = fast_eligible[fpos[i]];
-          f.warming = s.warming;
-          f.heartbeat_age_ms = s.heartbeat_age_ms;
-        }
       }
       // Done once the cold start is over and no fail-stop can age the
       // heartbeat further (a detected replica left `eligible` for good).
@@ -528,9 +374,9 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   }
 
   // --- Per-phase wall-clock (ClusterConfig::measure_phases) ----------------
-  // Three buckets for the perf-trend dashboard: advancement (fans out to the
-  // pool), the sequential commit write-backs, and the sequential dispatch
-  // decisions. Zero-cost when off; simulated results never depend on them.
+  // Three buckets for the perf-trend dashboard: advancement (including the
+  // final drain), the commit write-backs, and the dispatch decisions.
+  // Zero-cost when off; simulated results never depend on them.
   using WallClock = std::chrono::steady_clock;
   const bool measure = cfg_.measure_phases;
   double phase_advance_s = 0.0;
@@ -562,15 +408,14 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   // batch -- a replica with no entry before t provably has nothing to do
   // there (advance_to(t) with next_event_time() >= t is a no-op for a live
   // server), and an advanced replica's next event lands at or after t, so
-  // one batch is exhaustive. The batch then advances each replica all the
-  // way to t: in parallel on the pool when one exists (servers are mutually
-  // independent; the shared NdpCoreSim memo is concurrency-safe with
-  // canonical values), with the per-replica write-backs (EWMA fold,
-  // snapshot write-through, calendar re-push) committed sequentially in
-  // ascending replica order afterwards. The write-backs commute -- each
-  // touches its own replica's state, and the index/filter updates are pure
-  // functions of the final fleet state -- so the fixed commit order keeps
-  // parallel runs bit-identical to the sequential interleaving.
+  // one batch is exhaustive. The batch advances each replica all the way to
+  // t, in ascending replica order, and then commits the per-replica
+  // write-backs (EWMA fold, snapshot write-through, calendar re-push) in the
+  // same order. The write-backs commute with advancement -- each touches
+  // only its own replica's state -- so advance-all-then-commit-all equals
+  // the reference loop's per-replica interleaving. Batches average one to a
+  // few replicas, too small for a thread fan-out to pay for itself; the pool
+  // runs only the final drain().
   std::vector<std::size_t> batch;  // reused across events
   const auto advance_fleet_to = [&](Duration t) {
     batch.clear();
@@ -585,22 +430,12 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
       calendar.pop();
     }
     if (batch.empty()) return;
-    // A failing replica may also hold a live calendar entry before t; never
-    // hand the same replica to two workers.
+    // A failing replica may also hold a live calendar entry before t; commit
+    // it once, or it would gain a second live calendar entry.
     std::sort(batch.begin(), batch.end());
     batch.erase(std::unique(batch.begin(), batch.end()), batch.end());
-    // Advance, then commit: the write-backs commute with advancement (each
-    // touches only its own replica's state, the index/filter updates are
-    // pure functions of the final fleet state), so the sequential path uses
-    // the same advance-all-then-commit-all split the pool path does -- one
-    // code shape, and the phase timers bucket both paths identically.
     phase_begin();
-    if (pool != nullptr && batch.size() > 1) {
-      pool->run(batch.size(),
-                [&](std::size_t k) { replicas_[batch[k]].server->advance_to(t); });
-    } else {
-      for (const std::size_t i : batch) replicas_[i].server->advance_to(t);
-    }
+    for (const std::size_t i : batch) replicas_[i].server->advance_to(t);
     phase_end(phase_advance_s);
     phase_begin();
     for (const std::size_t i : batch) commit_one(i, t);
@@ -660,23 +495,6 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   // below its share). run() is called once, so replicas_ is the boot fleet.
   const std::size_t boot_prefill = disagg_on ? cfg_.disagg.prefill_replicas : 0;
   const std::size_t boot_decode = disagg_on ? replicas_.size() - boot_prefill : 0;
-
-  // Role routing (disaggregated serving): the pool filter applies after the
-  // health/EWMA filter. If the soft EWMA filter left the needed pool empty,
-  // fall back to the full accepting set before declaring the pool gone.
-  const auto disagg_view = [&](const std::vector<ReplicaSnapshot>& filtered,
-                               const auto& accepting_fn, const Request& rq) {
-    const bool want_prefill = !rq.decode_phase();
-    std::vector<ReplicaSnapshot> pool =
-        pool_snapshots(filtered, want_prefill, cfg_.disagg.decode_admit_tokens);
-    if (pool.empty()) {
-      pool = pool_snapshots(accepting_fn(), want_prefill,
-                            cfg_.disagg.decode_admit_tokens);
-    }
-    MONDE_REQUIRE(!pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
-                                       << " replica is accepting requests");
-    return pool;
-  };
 
   // --- Expert-aware serving state (inert when disabled) --------------------
   const bool expert_on = cfg_.expert.enabled;
@@ -1024,60 +842,45 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
         ++fleet_expert_load[core::ExpertId{e.layer, e.expert}];
       }
     }
-    std::size_t idx;  // the chosen replica
+    // The accepting set: the maintained index in the calendar loop, a full
+    // rebuild in the reference loop. Detections at or before `it.time` were
+    // processed first, and a healthy heartbeat age never exceeds one
+    // interval, so the reference rebuild's stale-heartbeat cut keeps exactly
+    // the replicas the index holds; the cut still makes the snapshot's
+    // heartbeat age authoritative for custom policies.
+    std::vector<ReplicaSnapshot> rebuilt;
     if (fast) {
-      // Fast path: the maintained index IS the eligible list. Detections at
-      // or before `it.time` were processed first, and a healthy heartbeat
-      // age never exceeds one interval, so the stale cut the reference
-      // filter applies provably keeps exactly the accepting set. With the
-      // EWMA filter on, `fast_eligible` is the maintained <= cutoff subset,
-      // with the reference's no-starvation guard (empty -> everyone stays).
       refresh_time_sensitive(it.time);
       MONDE_REQUIRE(!eligible.empty(),
                     "no replica is accepting requests (every replica failed or retired)");
-      const std::vector<ReplicaSnapshot>& view =
-          ewma_filter && !fast_eligible.empty() ? fast_eligible : eligible;
-      if (disagg_on) {
-        const std::vector<ReplicaSnapshot> pool = disagg_view(
-            view, [&]() -> const std::vector<ReplicaSnapshot>& { return eligible; }, rq);
-        const std::size_t pick = dispatcher.pick(pool, rq);
-        MONDE_REQUIRE(pick < pool.size(),
-                      "dispatcher picked entry " << pick << " of " << pool.size());
-        idx = pool[pick].replica;
-      } else {
-        const std::size_t pick = dispatcher.pick(view, rq);
-        MONDE_REQUIRE(pick < view.size(),
-                      "dispatcher picked entry " << pick << " of " << view.size());
-        idx = view[pick].replica;
-      }
     } else {
-      // The stale-heartbeat cut is belt-and-braces here: detection events at
-      // or before `it.time` were processed first, so a replica whose age
-      // crossed the timeout is already non-accepting -- but the filter makes
-      // the snapshot's heartbeat age authoritative for custom policies too.
-      const std::vector<ReplicaSnapshot> elig =
-          eligible_snapshots(snapshots(it.time), cfg_.health.slow_ewma_factor,
-                             cfg_.health.heartbeat_timeout.ms());
-      if (disagg_on) {
-        // The fallback view drops only the soft EWMA filter, mirroring the
-        // fast path's maintained `eligible` index.
-        const auto accepting = [&] {
-          return eligible_snapshots(snapshots(it.time),
-                                    std::numeric_limits<double>::infinity(),
-                                    cfg_.health.heartbeat_timeout.ms());
-        };
-        const std::vector<ReplicaSnapshot> pool = disagg_view(elig, accepting, rq);
-        const std::size_t pick = dispatcher.pick(pool, rq);
-        MONDE_REQUIRE(pick < pool.size(),
-                      "dispatcher picked entry " << pick << " of " << pool.size());
-        idx = pool[pick].replica;
-      } else {
-        const std::size_t pick = dispatcher.pick(elig, rq);
-        MONDE_REQUIRE(pick < elig.size(),
-                      "dispatcher picked entry " << pick << " of " << elig.size());
-        idx = elig[pick].replica;
-      }
+      rebuilt = eligible_snapshots(snapshots(it.time), std::numeric_limits<double>::infinity(),
+                                   cfg_.health.heartbeat_timeout.ms());
     }
+    const std::vector<ReplicaSnapshot>& accepting = fast ? eligible : rebuilt;
+    // The soft slow-EWMA filter, O(accepting * log accepting) per dispatch
+    // when enabled; the default infinite factor reads the set in place.
+    std::vector<ReplicaSnapshot> filtered;
+    if (ewma_filter) filtered = eligible_snapshots(accepting, cfg_.health.slow_ewma_factor);
+    const std::vector<ReplicaSnapshot>& view = ewma_filter ? filtered : accepting;
+    // Role routing (disaggregated serving): the pool filter applies after the
+    // health/EWMA filter. If the soft EWMA filter left the needed pool empty,
+    // fall back to the full accepting set before declaring the pool gone.
+    std::vector<ReplicaSnapshot> role_pool;
+    if (disagg_on) {
+      const bool want_prefill = !rq.decode_phase();
+      role_pool = pool_snapshots(view, want_prefill, cfg_.disagg.decode_admit_tokens);
+      if (role_pool.empty()) {
+        role_pool = pool_snapshots(accepting, want_prefill, cfg_.disagg.decode_admit_tokens);
+      }
+      MONDE_REQUIRE(!role_pool.empty(), "no " << (want_prefill ? "prefill" : "decode")
+                                              << " replica is accepting requests");
+    }
+    const std::vector<ReplicaSnapshot>& choices = disagg_on ? role_pool : view;
+    const std::size_t pick = dispatcher.pick(choices, rq);
+    MONDE_REQUIRE(pick < choices.size(),
+                  "dispatcher picked entry " << pick << " of " << choices.size());
+    const std::size_t idx = choices[pick].replica;
     // Pruned-expert degraded mode: a request landing on an overloaded
     // replica is served with a truncated profile -- fewer experts to keep
     // hot, fewer fetches to price -- instead of queueing at full fidelity.
@@ -1125,14 +928,13 @@ ClusterReport ClusterSim::run(ArrivalStream& arrivals, Dispatcher& dispatcher,
   }
   // No further arrivals: replicas finish independently, so each can drain
   // to completion on its own (failed replicas were harvested above). The
-  // drains are mutually independent, so they fan out to the pool too; the
-  // report below reads the servers only after every drain returned.
+  // drains are mutually independent (the shared NdpCoreSim memo is
+  // concurrency-safe with canonical values), so the calendar loop fans them
+  // out over `threads`; a one-thread pool is a plain loop. The report below
+  // reads the servers only after every drain returned.
   phase_begin();
-  if (pool != nullptr && replicas_.size() > 1) {
-    pool->run(replicas_.size(), [&](std::size_t i) { replicas_[i].server->drain(); });
-  } else {
-    for (Replica& r : replicas_) r.server->drain();
-  }
+  common::TaskPool{fast ? cfg_.threads : 1}.run(
+      replicas_.size(), [&](std::size_t i) { replicas_[i].server->drain(); });
   phase_end(phase_advance_s);
 
   ClusterReport rep;

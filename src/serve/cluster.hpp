@@ -54,30 +54,29 @@
 // before it, instead of scanning the whole fleet. Dispatch likewise reads an
 // incrementally maintained index of accepting-replica snapshots (updated
 // only when a replica's server mutates) rather than rebuilding every
-// snapshot per request; the slow-EWMA health filter, when enabled, is part
-// of the same index (a running median over the eligible EWMAs and a
-// write-through maintained fast set), so a finite slow_ewma_factor no
-// longer forces per-dispatch rebuilds. Arrivals may be consumed lazily from
-// an ArrivalStream (arrivals.hpp), so a million-request trace is never
-// materialized. The calendar loop is proven bit-identical to the classic
-// scan-everything loop (ClusterConfig::reference_loop, kept for diff
-// tests); one caveat: in the fast path the time-varying snapshot fields
-// (heartbeat_age_ms, and warming once a replica is warm) are refreshed only
-// for replicas where they can change eligibility or behavior -- the stock
-// policies never read them, and eligibility is provably unaffected, but a
-// custom Dispatcher needing exact per-dispatch heartbeat ages for healthy
-// replicas should set reference_loop.
+// snapshot per request. A finite slow_ewma_factor filters that index per
+// dispatch through eligible_snapshots() -- the reference filter itself, at
+// O(accepting * log accepting) per dispatch; the default infinite factor
+// reads the index in place. Arrivals may be consumed lazily from an
+// ArrivalStream (arrivals.hpp), so a million-request trace is never
+// materialized. The calendar loop and the classic scan-everything loop
+// (ClusterConfig::reference_loop, kept for diff tests) share one pick path
+// and differ only in how they obtain the accepting set; they are
+// bit-identical. One caveat: in the fast path the time-varying snapshot
+// fields (heartbeat_age_ms, and warming once a replica is warm) are
+// refreshed only for replicas where they can change eligibility or
+// behavior -- the stock policies never read them, and eligibility is
+// provably unaffected, but a custom Dispatcher needing exact per-dispatch
+// heartbeat ages for healthy replicas should set reference_loop.
 //
-// Parallelism (PR 7): with ClusterConfig::threads > 1 the calendar loop
-// fans each event's advancement batch (the replicas with server events
-// before the event's instant) out to a common::TaskPool. Replica servers
-// are mutually independent -- the only state they share is the NdpCoreSim,
-// whose shape memo is a concurrent table with canonical (deterministic)
-// values -- so the batch advances in parallel and the per-replica
-// write-backs (EWMA fold, snapshot-index write-through, calendar re-push)
-// then commit sequentially in ascending replica order. That fixed commit
-// order makes every counter, percentile, and RNG draw independent of thread
-// scheduling: runs are bit-identical across thread counts, pinned by
+// Parallelism: each event's advancement batch (the replicas with server
+// events before the event's instant) runs sequentially in ascending replica
+// order -- batches average one to a few replicas, too few for a thread
+// fan-out to pay off. With ClusterConfig::threads > 1 the final drain(),
+// where every replica finishes its remaining work independently, runs on a
+// common::TaskPool. Replica servers share only the NdpCoreSim, whose shape
+// memo is a concurrent table with canonical (deterministic) values, so runs
+// are bit-identical across thread counts, pinned by
 // tests/test_calendar_diff.cpp at 1-8 threads. See ARCHITECTURE.md's
 // "Parallel execution model".
 //
@@ -175,9 +174,10 @@ struct ClusterConfig {
   /// continuous batching on every replica.
   DisaggConfig disagg;
   /// Measure per-phase wall-clock (advance / dispatch / commit) into the
-  /// report's phase_*_s fields, for the perf-trend dashboard: the
-  /// advancement phase parallelizes across threads while dispatch and
-  /// commit stay sequential, and these counters show which dominates.
+  /// report's phase_*_s fields, for the perf-trend dashboard: advancement
+  /// (including the final drain, the only part that runs on threads) vs
+  /// the dispatch decisions and the commit write-backs, so these counters
+  /// show which dominates.
   /// Off by default -- the steady_clock reads are pure overhead otherwise.
   /// Simulated results are identical either way.
   bool measure_phases = false;
@@ -193,11 +193,11 @@ struct ClusterConfig {
   /// tests and for custom dispatchers that want exact time-varying snapshot
   /// fields (see the file comment).
   bool reference_loop = false;
-  /// Worker threads for the parallel advancement phase (the calling thread
-  /// counts, so 1 = fully sequential, no pool, no behavior risk). Results
-  /// are bit-identical across thread counts (see the file comment); only
-  /// wall-clock changes. Ignored by the reference loop, which stays
-  /// single-threaded by design.
+  /// Worker threads for the final drain (the calling thread counts, so
+  /// 1 = fully sequential, no worker threads). Event-by-event advancement is
+  /// always sequential. Results are bit-identical across thread counts (see
+  /// the file comment); only wall-clock changes. Ignored by the reference
+  /// loop, which stays single-threaded by design.
   std::size_t threads = 1;
 
   void validate() const;
@@ -294,7 +294,7 @@ struct ClusterReport {
   PoolReport prefill_pool;
   PoolReport decode_pool;
   // Per-phase wall-clock (0 unless ClusterConfig::measure_phases):
-  double phase_advance_s = 0.0;   ///< replica advancement (parallelizes)
+  double phase_advance_s = 0.0;   ///< replica advancement + final drain (drain on threads)
   double phase_dispatch_s = 0.0;  ///< snapshot refresh + pick + enqueue (sequential)
   double phase_commit_s = 0.0;    ///< EWMA/index/calendar write-backs (sequential)
   std::vector<ClusterEvent> events;  ///< scaling/failure timeline, time order
@@ -346,6 +346,8 @@ class ClusterSim {
   void add_replica(const ReplicaSpec& spec, Duration spawned_at, Duration start_at,
                    bool prefill = false);
   void update_ewma(Replica& r);
+  /// Replica `i` as the dispatcher sees it at `now`.
+  [[nodiscard]] ReplicaSnapshot snapshot(std::size_t i, Duration now) const;
   [[nodiscard]] std::vector<ReplicaSnapshot> snapshots(Duration now) const;
   [[nodiscard]] std::size_t accepting_count() const;
 

@@ -1,14 +1,13 @@
-// Refactor-seam pinning for the indexed event calendar (PR 6) and its
-// parallel advancement phase (PR 7): the calendar-driven ClusterSim::run
-// loop must be bit-identical to the classic scan-everything loop
-// (ClusterConfig::reference_loop) on the same seeds, across every behavior
-// the cluster models -- plain dispatch, failure injection + retry,
+// Refactor-seam pinning for the indexed event calendar: the calendar-driven
+// ClusterSim::run loop must be bit-identical to the classic scan-everything
+// loop (ClusterConfig::reference_loop) on the same seeds, across every
+// behavior the cluster models -- plain dispatch, failure injection + retry,
 // autoscaling, and KV-cache recovery/migration -- and at every thread count
-// (the Parallel* tests diff 1/2/4/8 worker threads against the sequential
-// reference; the commit-order rule in serve/cluster.cpp is what makes that
-// hold). Also covers the event-log gating satellite (metrics identical with
-// the log off), the incremental slow-EWMA filter, and the ServerSim version
-// counter the calendar's lazy deletion trusts.
+// (the Parallel* tests diff 1/2/4/8 worker threads, which run the final
+// drain, against the sequential reference). Also covers event-log gating
+// and phase timing (metrics identical with either off), the per-dispatch
+// slow-EWMA filter, and the ServerSim version counter the calendar's lazy
+// deletion trusts.
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -104,10 +103,10 @@ TEST(CalendarDiff, PrefixCacheSurvivalAndMigration) {
 }
 
 TEST(CalendarDiff, SlowEwmaFilterStaysIncremental) {
-  // A finite slow_ewma_factor keeps the eligible index incremental: the
-  // fleet-median cutoff is a running median and the fast set is maintained
-  // by write-through -- bit-identical to the reference filter's per-dispatch
-  // rebuild (the running median reproduces percentile(ewmas, 50) exactly).
+  // A finite slow_ewma_factor keeps the eligible index incremental and
+  // filters it per dispatch: the calendar loop runs eligible_snapshots()'s
+  // median cutoff over the maintained accepting set, and must match the
+  // reference loop, which rebuilds every snapshot before the same filter.
   Scenario sc;
   sc.trace = poisson_trace(20, 80.0, small_shape(), 33);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -119,9 +118,9 @@ TEST(CalendarDiff, SlowEwmaFilterStaysIncremental) {
 }
 
 TEST(CalendarDiff, SlowEwmaFilterWithFailuresAndAutoscale) {
-  // The incremental median/fast-set must also survive membership churn:
-  // replicas leaving on detection and retirement, joining on spawn, and a
-  // degraded peer whose EWMA keeps crossing the moving cutoff.
+  // The per-dispatch filter must also track membership churn in the
+  // maintained index: replicas leaving on detection and retirement, joining
+  // on spawn, and a degraded peer whose EWMA keeps crossing the moving cutoff.
   Scenario sc;
   sc.trace = bursty_trace(28, 7, Duration::millis(25), small_shape(), 19);
   sc.specs = uniform_fleet(4, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -281,7 +280,7 @@ TEST(CalendarDiff, ExpertDisabledConfigIsInert) {
                            run_scenario(tuned, /*reference_loop=*/false));
 }
 
-// --- Parallel advancement (PR 7): 1/2/4/8 threads vs the reference ----------
+// --- Parallel drain: 1/2/4/8 threads vs the reference ------------------------
 
 TEST(ParallelDiff, PlainFleetAllPolicies) {
   for (const DispatchPolicy policy : all_dispatch_policies()) {
@@ -365,6 +364,9 @@ TEST(ParallelDiff, PrefixRoutingAcrossThreads) {
 }
 
 TEST(ParallelDiff, SlowEwmaFilterAcrossThreads) {
+  // The per-dispatch slow-EWMA filter reads the EWMAs committed after each
+  // event's advancement; with the drain on 2/4/8 threads the picks and the
+  // final report must still match the sequential reference.
   Scenario sc;
   sc.trace = poisson_trace(20, 80.0, small_shape(), 33);
   sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
@@ -406,6 +408,50 @@ TEST(CalendarDiff, EventLogOffLeavesMetricsIdentical) {
   a.events.clear();
   b.events.clear();
   expect_reports_identical(a, b);
+}
+
+// --- Phase timers (ClusterConfig::measure_phases) ---------------------------
+
+TEST(CalendarDiff, PhaseTimersLeaveMetricsIdentical) {
+  // The phase timers only read the host clock: a disaggregated run with a
+  // fail-stop and autoscaling must serve identically with them on or off, at
+  // 1 and 2 threads, and the timers must fill in only when asked to.
+  Scenario sc;
+  sc.trace = bursty_trace(28, 7, Duration::millis(25), small_shape(), 19);
+  sc.specs = uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, SchedulerConfig{});
+  sc.specs[1].fault.fail_at = Duration::millis(35);  // a decode replica dies
+  sc.cfg.disagg.enabled = true;
+  sc.cfg.disagg.prefill_replicas = 1;
+  sc.cfg.retry_timeout = Duration::millis(2);
+  sc.cfg.warmup = Duration::millis(2);
+  sc.cfg.autoscale_period = Duration::millis(3);
+  sc.autoscaled = true;
+  sc.autoscale.min_replicas = 2;
+  sc.autoscale.max_replicas = 6;
+  sc.autoscale.high_tokens_per_replica = 96;
+  sc.autoscale.low_tokens_per_replica = 8;
+
+  const ClusterReport baseline = run_scenario(sc, /*reference_loop=*/false);
+  EXPECT_GT(baseline.handoffs, 0u);  // the scenario exercises every path it names
+  EXPECT_GT(baseline.retries, 0u);
+  EXPECT_GT(baseline.replicas.size(), sc.specs.size());
+  for (const std::size_t threads : {1u, 2u}) {
+    for (const bool measure : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (measure ? " timers on" : " timers off"));
+      sc.threads = threads;
+      sc.cfg.measure_phases = measure;
+      const ClusterReport rep = run_scenario(sc, /*reference_loop=*/false);
+      expect_reports_identical(rep, baseline);
+      if (measure) {
+        EXPECT_GT(rep.phase_advance_s, 0.0);
+      } else {
+        EXPECT_EQ(rep.phase_advance_s, 0.0);
+        EXPECT_EQ(rep.phase_dispatch_s, 0.0);
+        EXPECT_EQ(rep.phase_commit_s, 0.0);
+      }
+    }
+  }
 }
 
 // --- ServerSim version counter (what lazy deletion trusts) ------------------
