@@ -17,6 +17,8 @@
 #include "common/error.hpp"
 #include "core/engine.hpp"
 #include "core/load_balancer.hpp"
+#include "serve/arrivals.hpp"
+#include "serve/cluster.hpp"
 
 namespace monde::bench {
 
@@ -197,6 +199,43 @@ class EngineFactory {
 /// The skew profile the paper's workloads exhibit for each model.
 inline moe::SkewProfile profile_for(const moe::MoeModelConfig& model) {
   return model.top_k >= 2 ? moe::SkewProfile::nllb_like() : moe::SkewProfile::switch_like();
+}
+
+/// The serving benches' scaled-down Switch-style model: an MoE layer every
+/// second block, and either `small` (d_model 512, 16 experts, 4 encoder + 4
+/// decoder blocks -- the smoke and fleet-scale size) or 768 / 64 / 8 + 8.
+/// Small enough for quick cycle-level NDP runs, with the routing skew that
+/// drives the strategy differences.
+inline moe::MoeModelConfig serving_model(bool small) {
+  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(small ? 512 : 768,
+                                                                  small ? 16 : 64);
+  model.encoder_blocks = small ? 4 : 8;
+  model.decoder_blocks = small ? 4 : 8;
+  model.moe_every = 2;
+  return model;
+}
+
+/// A request-shape envelope: prompt and decode-budget ranges, in tokens.
+inline serve::RequestShape request_shape(std::int64_t prompt_min, std::int64_t prompt_max,
+                                         std::int64_t new_tokens_min,
+                                         std::int64_t new_tokens_max) {
+  serve::RequestShape shape;
+  shape.prompt_min = prompt_min;
+  shape.prompt_max = prompt_max;
+  shape.new_tokens_min = new_tokens_min;
+  shape.new_tokens_max = new_tokens_max;
+  return shape;
+}
+
+/// The cluster configuration every serving bench starts from: the final
+/// drain on `--threads` workers (results are bit-identical across thread
+/// counts; only wall-clock moves), and the event log off when nothing
+/// prints it.
+inline serve::ClusterConfig cluster_config(const BenchArgs& args, bool event_log = true) {
+  serve::ClusterConfig cfg;
+  cfg.threads = args.threads;
+  cfg.event_log_enabled = event_log;
+  return cfg;
 }
 
 /// Decoder steps simulated per run: enough for steady-state averages while

@@ -33,18 +33,10 @@ int main(int argc, char** argv) {
                       : "autoscaling vs static fleets under bursty traffic");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(smoke ? 512 : 768,
-                                                                  smoke ? 16 : 64);
-  model.encoder_blocks = smoke ? 4 : 8;
-  model.decoder_blocks = smoke ? 4 : 8;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/smoke);
   const moe::SkewProfile prof = bench::profile_for(model);
 
-  serve::RequestShape shape;
-  shape.prompt_min = 16;
-  shape.prompt_max = smoke ? 48 : 160;
-  shape.new_tokens_min = 2;
-  shape.new_tokens_max = smoke ? 8 : 24;
+  const serve::RequestShape shape = bench::request_shape(16, smoke ? 48 : 160, 2, smoke ? 8 : 24);
 
   const int requests = smoke ? 16 : 72;
   const auto trace = serve::bursty_trace(requests, /*burst_size=*/8,
@@ -54,9 +46,8 @@ int main(int argc, char** argv) {
   serve::SchedulerConfig sched;
   sched.token_budget = smoke ? 96 : 192;
 
-  serve::ClusterConfig ccfg;
+  serve::ClusterConfig ccfg = bench::cluster_config(args);
   ccfg.autoscale_period = Duration::millis(smoke ? 4.0 : 5.0);
-  ccfg.threads = args.threads;  // bit-identical results; only wall-clock moves
 
   serve::AutoscaleConfig as;
   as.min_replicas = 1;

@@ -31,18 +31,10 @@ int main(int argc, char** argv) {
                       : "dispatch policies under Poisson and bursty traffic");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(smoke ? 512 : 768,
-                                                                  smoke ? 16 : 64);
-  model.encoder_blocks = smoke ? 4 : 8;
-  model.decoder_blocks = smoke ? 4 : 8;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/smoke);
   const moe::SkewProfile prof = bench::profile_for(model);
 
-  serve::RequestShape shape;
-  shape.prompt_min = 16;
-  shape.prompt_max = smoke ? 48 : 192;
-  shape.new_tokens_min = 2;
-  shape.new_tokens_max = smoke ? 8 : 24;
+  const serve::RequestShape shape = bench::request_shape(16, smoke ? 48 : 192, 2, smoke ? 8 : 24);
 
   const int requests = smoke ? 12 : 64;
   const std::vector<std::size_t> replica_counts = smoke ? std::vector<std::size_t>{2}
@@ -51,8 +43,7 @@ int main(int argc, char** argv) {
   serve::SchedulerConfig cfg;
   cfg.token_budget = smoke ? 128 : 256;
 
-  serve::ClusterConfig ccfg;
-  ccfg.threads = args.threads;  // bit-identical results; only wall-clock moves
+  const serve::ClusterConfig ccfg = bench::cluster_config(args);
 
   struct TraceCase {
     std::string name;

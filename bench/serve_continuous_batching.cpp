@@ -19,19 +19,10 @@ int main() {
   bench::banner("serving", "continuous vs fixed batching, Poisson open-loop trace");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  // A scaled-down Switch-style model keeps the cycle-level NDP runs quick
-  // while preserving the routing skew that drives the strategy differences.
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(768, 64);
-  model.encoder_blocks = 8;
-  model.decoder_blocks = 8;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/false);
   const moe::SkewProfile prof = bench::profile_for(model);
 
-  serve::RequestShape shape;
-  shape.prompt_min = 64;
-  shape.prompt_max = 256;
-  shape.new_tokens_min = 8;
-  shape.new_tokens_max = 32;
+  const serve::RequestShape shape = bench::request_shape(64, 256, 8, 32);
   const auto trace = serve::poisson_trace(32, /*rate_per_s=*/12.0, shape, /*seed=*/7);
 
   serve::SchedulerConfig cfg;

@@ -43,16 +43,8 @@ using namespace monde;
 /// from a single mixed workload -- exactly what a unified fleet would see.
 std::vector<serve::Request> interference_trace(int n_prefill_heavy, int n_decode_deep,
                                                double rate_per_s, std::uint64_t seed) {
-  serve::RequestShape heavy;
-  heavy.prompt_min = 512;
-  heavy.prompt_max = 1024;
-  heavy.new_tokens_min = 2;
-  heavy.new_tokens_max = 4;
-  serve::RequestShape deep;
-  deep.prompt_min = 16;
-  deep.prompt_max = 32;
-  deep.new_tokens_min = 64;
-  deep.new_tokens_max = 128;
+  const serve::RequestShape heavy = bench::request_shape(512, 1024, 2, 4);
+  const serve::RequestShape deep = bench::request_shape(16, 32, 64, 128);
   std::vector<serve::Request> trace =
       serve::poisson_trace(n_prefill_heavy, rate_per_s / 2.0, heavy, seed);
   const std::vector<serve::Request> decodes =
@@ -91,10 +83,7 @@ int main(int argc, char** argv) {
                       : "prefill/decode pools vs unified fleet under interference");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(512, 16);
-  model.encoder_blocks = 4;
-  model.decoder_blocks = 4;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/true);
   const moe::SkewProfile prof = moe::SkewProfile::switch_like();
 
   serve::SchedulerConfig sched;
@@ -113,9 +102,7 @@ int main(int argc, char** argv) {
 
   const auto run = [&](bool disagg, std::size_t prefill_share,
                        interconnect::LinkSpec link) {
-    serve::ClusterConfig ccfg;
-    ccfg.event_log_enabled = false;
-    ccfg.threads = args.threads;
+    serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
     if (disagg) {
       ccfg.disagg.enabled = true;
       ccfg.disagg.prefill_replicas = prefill_share;

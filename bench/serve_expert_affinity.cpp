@@ -54,20 +54,13 @@ int main(int argc, char** argv) {
                       : "gating-aware vs load-only dispatch under fig3 skew");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(512, 16);
-  model.encoder_blocks = 4;
-  model.decoder_blocks = 4;
-  model.moe_every = 2;  // two decoder MoE layers x 16 experts
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/true);  // 2 MoE layers x 16
   // Switch-style top-1 skew: a handful of heavy experts, a warm mid-tier,
   // and a long cold tail (Figure 3's shape). Enough per-request diversity
   // in the top experts that affinity has something to exploit.
   const moe::SkewProfile prof = moe::SkewProfile::switch_like();
 
-  serve::RequestShape shape;
-  shape.prompt_min = 16;
-  shape.prompt_max = 48;
-  shape.new_tokens_min = 4;
-  shape.new_tokens_max = 12;
+  const serve::RequestShape shape = bench::request_shape(16, 48, 4, 12);
 
   serve::SchedulerConfig sched;
   sched.token_budget = 128;
@@ -98,10 +91,8 @@ int main(int argc, char** argv) {
          {Policy{serve::DispatchPolicy::kLeastOutstandingTokens, "baseline."},
           Policy{serve::DispatchPolicy::kExpertAffinity, "affinity."},
           Policy{serve::DispatchPolicy::kExpertSharded, "sharded."}}) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
       ccfg.expert = expert;
-      ccfg.event_log_enabled = false;
-      ccfg.threads = args.threads;
       serve::ClusterSim cluster{
           sys, model, prof,
           serve::uniform_fleet(replicas, core::StrategyKind::kMondeLoadBalanced, sched),
@@ -133,14 +124,12 @@ int main(int argc, char** argv) {
     std::printf("--- rebalance: affinity dispatch, hot-expert preload tick off vs on ---\n");
     Table table{{"rebalance", "tok/s", "hit rate", "TPOT p99 (ms)", "migrations"}};
     for (const bool on : {false, true}) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
       ccfg.expert = expert;
       if (on) {
         ccfg.expert.rebalance_period = Duration::millis(smoke ? 20.0 : 50.0);
         ccfg.expert.rebalance_hot_experts = 4;
       }
-      ccfg.event_log_enabled = false;
-      ccfg.threads = args.threads;
       serve::ClusterSim cluster{
           sys, model, prof,
           serve::uniform_fleet(replicas, core::StrategyKind::kMondeLoadBalanced, sched),
@@ -170,14 +159,12 @@ int main(int argc, char** argv) {
     const double orate = 2'000.0 * static_cast<double>(orep);
     Table table{{"degraded mode", "tok/s", "hit rate", "TPOT p99 (ms)", "pruned"}};
     for (const bool on : {false, true}) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
       ccfg.expert = expert;
       if (on) {
         ccfg.expert.prune_outstanding_tokens = 256;
         ccfg.expert.prune_width = 1;
       }
-      ccfg.event_log_enabled = false;
-      ccfg.threads = args.threads;
       serve::ClusterSim cluster{
           sys, model, prof,
           serve::uniform_fleet(orep, core::StrategyKind::kMondeLoadBalanced, sched), ccfg};

@@ -54,10 +54,7 @@ int main(int argc, char** argv) {
                       : "prefix-locality vs load-only dispatch, multi-tenant trace");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(512, 16);
-  model.encoder_blocks = 4;
-  model.decoder_blocks = 4;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/true);
   const moe::SkewProfile prof = moe::SkewProfile::switch_like();
 
   const std::size_t replicas = smoke ? 8 : 16;
@@ -68,11 +65,7 @@ int main(int argc, char** argv) {
   // prefix, tenant popularity is Zipf-skewed, and there are several times
   // more tenants than any single replica's cache can retain -- so WHERE a
   // request lands decides whether its prefill is served from residency.
-  serve::RequestShape shape;
-  shape.prompt_min = 96;
-  shape.prompt_max = 160;
-  shape.new_tokens_min = 4;
-  shape.new_tokens_max = 12;
+  serve::RequestShape shape = bench::request_shape(96, 160, 4, 12);
   shape.prefix_groups = static_cast<int>(replicas) * 3;
   shape.shared_fraction = 0.9;
   shape.shared_prefix_len = 64;
@@ -117,10 +110,8 @@ int main(int argc, char** argv) {
     Table table{{"policy", "tok/s", "cached rate", "TTFT p95 (ms)", "E2E p50 (ms)",
                  "E2E p99 (ms)", "imbalance"}};
     for (const Policy p : kPolicies) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
       ccfg.cache = cache;
-      ccfg.event_log_enabled = false;
-      ccfg.threads = args.threads;
       serve::ClusterSim cluster{
           sys, model, prof,
           serve::uniform_fleet(replicas, core::StrategyKind::kMondeLoadBalanced, sched),
@@ -165,11 +156,9 @@ int main(int argc, char** argv) {
     Table table{{"policy", "cached rate", "E2E p99 (ms)", "peak replicas",
                  "replica-s"}};
     for (const Policy p : kPolicies) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
       ccfg.cache = cache;
       ccfg.cache.migrate_on_retire = true;  // retirements hand work (and KV) over
-      ccfg.event_log_enabled = false;
-      ccfg.threads = args.threads;
       ccfg.warmup = Duration::millis(5.0);
       ccfg.autoscale_period = Duration::millis(10.0);
       serve::AutoscaleConfig acfg;

@@ -42,18 +42,10 @@ int main(int argc, char** argv) {
                       : "shared prefixes, resume-on-retry, scale-down migration");
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(smoke ? 512 : 768,
-                                                                  smoke ? 16 : 64);
-  model.encoder_blocks = smoke ? 4 : 8;
-  model.decoder_blocks = smoke ? 4 : 8;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/smoke);
   const moe::SkewProfile prof = bench::profile_for(model);
 
-  serve::RequestShape shape;
-  shape.prompt_min = 16;
-  shape.prompt_max = smoke ? 48 : 160;
-  shape.new_tokens_min = 2;
-  shape.new_tokens_max = smoke ? 8 : 24;
+  const serve::RequestShape shape = bench::request_shape(16, smoke ? 48 : 160, 2, smoke ? 8 : 24);
 
   serve::SchedulerConfig sched;
   sched.token_budget = smoke ? 96 : 192;
@@ -76,10 +68,9 @@ int main(int argc, char** argv) {
     Table table{{"cache", "tok/s", "E2E p50 (ms)", "E2E p95 (ms)", "cached tokens",
                  "hit rate", "util"}};
     for (const bool enabled : {false, true}) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args);
       ccfg.cache = cache;
       ccfg.cache.enabled = enabled;
-      ccfg.threads = args.threads;
       serve::ClusterSim cluster{
           sys, model, prof,
           serve::uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, sched), ccfg};
@@ -126,11 +117,10 @@ int main(int argc, char** argv) {
     };
     for (const Mode mode : {Mode{"restart (no cache)", "failstop.restart.", false, false},
                             Mode{"resume (ckpt cache)", "failstop.resume.", true, true}}) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args);
       ccfg.cache = cache;
       ccfg.cache.enabled = mode.enabled;
       ccfg.cache.survive_failstop = mode.survive;
-      ccfg.threads = args.threads;
       auto specs = serve::uniform_fleet(3, core::StrategyKind::kMondeLoadBalanced, sched);
       // Mid-trace, while a real backlog is in flight, so the stranded
       // requests are what the p99 tail measures.
@@ -166,11 +156,10 @@ int main(int argc, char** argv) {
     Table table{{"retirement", "tok/s", "E2E p95 (ms)", "replica-s", "migrations",
                  "fleet util"}};
     for (const bool migrate : {false, true}) {
-      serve::ClusterConfig ccfg;
+      serve::ClusterConfig ccfg = bench::cluster_config(args);
       ccfg.autoscale_period = Duration::millis(2.0);
       ccfg.cache = cache;
       ccfg.cache.migrate_on_retire = migrate;
-      ccfg.threads = args.threads;
       serve::ClusterSim cluster{
           sys, model, prof,
           serve::uniform_fleet(2, core::StrategyKind::kMondeLoadBalanced, sched), ccfg};

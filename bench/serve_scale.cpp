@@ -77,17 +77,10 @@ int main(int argc, char** argv) {
   const int requests = smoke ? 50'000 : 1'000'000;
 
   const core::SystemConfig sys = core::SystemConfig::dac24();
-  moe::MoeModelConfig model = moe::MoeModelConfig::switch_variant(512, 16);
-  model.encoder_blocks = 4;
-  model.decoder_blocks = 4;
-  model.moe_every = 2;
+  const moe::MoeModelConfig model = bench::serving_model(/*small=*/true);
   const moe::SkewProfile prof = bench::profile_for(model);
 
-  serve::RequestShape shape;
-  shape.prompt_min = 16;
-  shape.prompt_max = 48;
-  shape.new_tokens_min = 2;
-  shape.new_tokens_max = 8;
+  const serve::RequestShape shape = bench::request_shape(16, 48, 2, 8);
 
   serve::SchedulerConfig sched;
   sched.token_budget = 128;
@@ -98,9 +91,7 @@ int main(int argc, char** argv) {
   // 10k-replica balancer would actually run.
   const double rate_per_s = 250.0 * static_cast<double>(replicas);
 
-  serve::ClusterConfig ccfg;
-  ccfg.event_log_enabled = false;  // nobody reads 1M requests' worth of detail strings
-  ccfg.threads = args.threads;     // bit-identical results; only wall-clock moves
+  serve::ClusterConfig ccfg = bench::cluster_config(args, /*event_log=*/false);
   // Phase split for the perf-trend dashboard: advancement (its final drain
   // runs on --threads) vs the dispatch and commit phases. Only the
   // --perf record reads it; simulated metrics are identical either way.

@@ -69,7 +69,7 @@ int main() {
   std::printf("event timeline:\n");
   for (const serve::ClusterEvent& ev : rep.events) {
     std::printf("  %10s  %-16s %s\n", ev.time.str().c_str(),
-                serve::to_string(ev.kind).c_str(), ev.detail.c_str());
+                serve::to_string(ev.kind).c_str(), serve::describe(ev, rep).c_str());
   }
 
   std::printf("\n  %-26s %9s %10s %10s %12s  %s\n", "replica", "requests", "spawned",

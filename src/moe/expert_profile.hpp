@@ -14,7 +14,9 @@
 // through Request, ReplicaSnapshot, and ExpertCache must live here.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace monde::moe {
@@ -59,6 +61,22 @@ struct ExpertProfile {
     for (const Entry& e : experts) {
       signature |= std::uint64_t{1} << expert_signature_bit(e.layer, e.expert);
     }
+  }
+
+  /// Keep the `width` heaviest experts of each layer (the pruned-expert
+  /// degraded mode). Returns true if the profile shrank.
+  bool truncate_per_layer(int width) {
+    std::vector<Entry> kept;
+    kept.reserve(experts.size());
+    int run = 0;
+    for (std::size_t i = 0; i < experts.size(); ++i) {
+      run = i > 0 && experts[i].layer == experts[i - 1].layer ? run + 1 : 0;
+      if (run < width) kept.push_back(experts[i]);
+    }
+    if (kept.size() == experts.size()) return false;
+    experts = std::move(kept);
+    rebuild_signature();
+    return true;
   }
 };
 

@@ -1,96 +1,50 @@
 // Multi-replica cluster serving: an elastic fleet of replica servers behind
 // one health-checked dispatcher.
 //
-// The paper argues MoNDE makes sparse-MoE serving cost-effective per node;
-// a production deployment then scales out by putting a fleet of such nodes
-// behind a load balancer. ClusterSim models exactly that: each replica is a
-// full ServerSim (its own InferenceEngine, expert-execution strategy,
-// scheduler, and routing seed -- replicas may be heterogeneous, e.g. some
-// MD+LB and some GPU+PM), and a pluggable Dispatcher (dispatch.hpp) routes
-// every request at its arrival instant against the replicas' live queue
-// state. Replicas are interleaved in simulated time through ServerSim's
-// incremental event API: before each dispatch decision every replica is
-// advanced to the arrival instant, so completions up to that point are
-// reflected in the snapshots the policy sees.
+// The paper argues MoNDE makes sparse-MoE serving cost-effective per node; a
+// deployment then scales out by putting a fleet of such nodes behind a load
+// balancer. ClusterSim models that: each replica is a full ServerSim (its own
+// InferenceEngine, expert-execution strategy, scheduler and routing seed --
+// replicas may be heterogeneous), and a pluggable Dispatcher (dispatch.hpp)
+// routes every request at its arrival instant against the replicas' live
+// queue state, interleaving the replicas in simulated time. On top of that,
+// each off by default (see the ClusterConfig fields): autoscaling against
+// queue pressure with modelled cold starts (autoscale.hpp); fail-stop and
+// slow-down faults with heartbeat detection and retry of stranded requests,
+// fleet metrics keyed to the original arrival (fault.hpp); prefix caching
+// with checkpointed resume and live migration (kvcache.hpp); expert-aware
+// serving (expert.hpp); and disaggregated prefill/decode pools (disagg.hpp).
+// With all of them off, run() is the classic dispatch loop, pinned
+// bit-identical by tests/test_cluster.cpp.
 //
-// On top of that base (PR 3), the cluster is elastic and failure-aware:
+// The event loop: run() repeatedly picks the earliest cluster event -- a
+// dispatch (arrival or re-dispatch), a fail-stop detection, an autoscale or
+// expert-rebalance tick, or a prefill-pool anchor -- and hands it to one
+// handler. Three components (calendar.hpp) keep that cheap at 10k replicas:
+// an arrival merger over a lazily consumed ArrivalStream (a million-request
+// trace is never materialized), an event calendar (a lazy-deletion heap of
+// per-replica server events tagged with ServerSim::version(), so an event
+// advances only the replicas with work before it) and an accepting index
+// (the accepting replicas' snapshots, written through when a server mutates
+// instead of rebuilt per dispatch). ClusterConfig::reference_loop swaps the
+// calendar and the index for naive variants -- every replica advances at
+// every event, every dispatch rebuilds every snapshot -- pinned bit-identical
+// by tests/test_calendar_diff.cpp and bench/serve_scale. One caveat: the
+// maintained index refreshes the time-varying snapshot fields
+// (heartbeat_age_ms, and warming once a replica is warm) only where they can
+// change eligibility; a custom Dispatcher needing exact heartbeat ages for
+// healthy replicas should set reference_loop.
 //
-//   * Autoscaling -- pass an Autoscaler (autoscale.hpp) to run() and the
-//     fleet is resized against queue pressure at a fixed evaluation cadence.
-//     Scale-ups spawn replicas of `growth` (default: specs[0], faults
-//     cleared) with a modelled cold start: the new replica accepts and
-//     queues requests immediately but runs no step until spawn + warmup.
-//     Scale-downs retire the accepting replica owing the fewest tokens; it
-//     drains its queue and then idles, excluded from dispatch.
-//   * Failure injection -- each ReplicaSpec may carry a FaultSpec
-//     (fault.hpp): fail-stop at an instant, or a slow-down window priced
-//     through ServerSim's steps. Fail-stop detection is heartbeat-based
-//     (HealthConfig): the dispatcher keeps feeding a dead replica until its
-//     heartbeat goes stale, then the replica is excluded permanently, its
-//     stranded requests are harvested and re-dispatched to healthy replicas
-//     after `retry_timeout` (retries restart from scratch; fleet metrics
-//     stay keyed to the original arrival so the loss lands in the tail).
-//
-//   * Prefix caching + partial-progress recovery -- with
-//     ClusterConfig::cache enabled, every replica carries a prefix/KV cache
-//     (kvcache.hpp): shared prompt prefixes skip their prefill, fail-stop
-//     retries can resume from the last checkpointed step
-//     (`survive_failstop`, surviving-cache mode) instead of restarting, and
-//     scale-down retirement can live-migrate a retiree's unfinished
-//     requests to the surviving fleet (`migrate_on_retire`) -- both priced
-//     at a modelled per-token KV transfer cost, and both surfacing in the
-//     event log and the retry/migration counters.
-//
-// With no autoscaler, no faults, and the cache disabled, run() degenerates
-// to exactly the classic dispatch loop -- pinned bit-identical by
-// tests/test_cluster.cpp.
-//
-// Scale (PR 6): run() is driven by an indexed event calendar -- a
-// lazy-deletion min-heap over per-replica server events (keyed (time,
-// replica), entries tagged with ServerSim::version() and discarded when the
-// version moved on) merged with the arrival stream, the retry/migration
-// queue, sorted fail-stop/detection cursors, and the autoscale tick -- so
-// each cluster event advances only the replicas that actually have work
-// before it, instead of scanning the whole fleet. Dispatch likewise reads an
-// incrementally maintained index of accepting-replica snapshots (updated
-// only when a replica's server mutates) rather than rebuilding every
-// snapshot per request. A finite slow_ewma_factor filters that index per
-// dispatch through eligible_snapshots() -- the reference filter itself, at
-// O(accepting * log accepting) per dispatch; the default infinite factor
-// reads the index in place. Arrivals may be consumed lazily from an
-// ArrivalStream (arrivals.hpp), so a million-request trace is never
-// materialized. The calendar loop and the classic scan-everything loop
-// (ClusterConfig::reference_loop, kept for diff tests) share one pick path
-// and differ only in how they obtain the accepting set; they are
-// bit-identical. One caveat: in the fast path the time-varying snapshot
-// fields (heartbeat_age_ms, and warming once a replica is warm) are
-// refreshed only for replicas where they can change eligibility or
-// behavior -- the stock policies never read them, and eligibility is
-// provably unaffected, but a custom Dispatcher needing exact per-dispatch
-// heartbeat ages for healthy replicas should set reference_loop.
-//
-// Parallelism: each event's advancement batch (the replicas with server
-// events before the event's instant) runs sequentially in ascending replica
-// order -- batches average one to a few replicas, too few for a thread
-// fan-out to pay off. With ClusterConfig::threads > 1 the final drain(),
-// where every replica finishes its remaining work independently, runs on a
-// common::TaskPool. Replica servers share only the NdpCoreSim, whose shape
-// memo is a concurrent table with canonical (deterministic) values, so runs
-// are bit-identical across thread counts, pinned by
-// tests/test_calendar_diff.cpp at 1-8 threads. See ARCHITECTURE.md's
-// "Parallel execution model".
-//
-// The report carries per-replica ServeReports and fleet-wide aggregates:
-// latency percentiles over the union of all requests (re-based to original
-// arrivals), total tokens/s over the fleet makespan, alive-time-weighted
-// per-replica and fleet utilization, a max-over-mean busy-time imbalance
-// factor (1.0 = perfectly balanced), and the scaling/failure event log.
+// Parallelism: events advance their replicas sequentially (one to a few per
+// event); with ClusterConfig::threads > 1 the final drain() runs on a
+// common::TaskPool. Replicas share only the NdpCoreSim, whose shape memo is a
+// concurrent table with canonical values, so runs are bit-identical across
+// thread counts (ARCHITECTURE.md, "Parallel execution model").
 //
 // Ownership: ClusterSim copies the platform/model/profile configuration and
-// owns every replica's engine and server. All replicas (including ones
-// spawned mid-run) share one NdpCoreSim so expert-shape latencies memoize
-// across the fleet; the shared_ptr keeps it alive for the cluster's
-// lifetime, and the sharing is timing-neutral (see test_fastpath_diff).
+// owns every replica's engine and server. All replicas (including spawned
+// ones) share one NdpCoreSim so expert-shape latencies memoize across the
+// fleet; the sharing is timing-neutral (see test_fastpath_diff).
 #pragma once
 
 #include <cstdint>
@@ -173,37 +127,34 @@ struct ClusterConfig {
   /// pool when the checkpoint survives (ClusterConfig::cache). Requires
   /// continuous batching on every replica.
   DisaggConfig disagg;
-  /// Measure per-phase wall-clock (advance / dispatch / commit) into the
-  /// report's phase_*_s fields, for the perf-trend dashboard: advancement
-  /// (including the final drain, the only part that runs on threads) vs
-  /// the dispatch decisions and the commit write-backs, so these counters
-  /// show which dominates.
-  /// Off by default -- the steady_clock reads are pure overhead otherwise.
-  /// Simulated results are identical either way.
+  /// Measure per-phase wall-clock into the report's phase_*_s fields, for
+  /// the perf-trend dashboard: advancement (including the final drain, the
+  /// only part that runs on threads) vs the dispatch decisions vs the commit
+  /// write-backs. Off by default -- the clock reads are pure overhead
+  /// otherwise. Simulated results are identical either way.
   bool measure_phases = false;
-  /// Record the scaling/failure timeline (ClusterReport::events), detail
-  /// strings included. Off, events are not built at all -- the counters
-  /// (retries, migrations, peak_replicas) and every other report field are
-  /// unaffected -- which large sweeps (bench/serve_scale) want: the detail
-  /// strings are pure allocation cost when nobody reads them.
+  /// Record the scaling/failure timeline (ClusterReport::events). Off, the
+  /// log stays empty and every other report field, counters included, is
+  /// unaffected; events are typed values, so the log costs one vector.
   bool event_log_enabled = true;
-  /// Run the classic O(replicas)-per-event loop instead of the indexed
-  /// event calendar. The two are bit-identical (pinned by
-  /// tests/test_calendar_diff.cpp); the reference loop exists for those diff
-  /// tests and for custom dispatchers that want exact time-varying snapshot
-  /// fields (see the file comment).
+  /// Drive the loop with the naive reference calendar and accepting index
+  /// (calendar.hpp): every replica advances at every event, and every
+  /// dispatch rebuilds every snapshot -- O(replicas) per event. Bit-identical
+  /// to the default (pinned by tests/test_calendar_diff.cpp); it exists for
+  /// those diff tests and for custom dispatchers that want exact
+  /// time-varying snapshot fields (see the file comment).
   bool reference_loop = false;
   /// Worker threads for the final drain (the calling thread counts, so
   /// 1 = fully sequential, no worker threads). Event-by-event advancement is
   /// always sequential. Results are bit-identical across thread counts (see
-  /// the file comment); only wall-clock changes. Ignored by the reference
-  /// loop, which stays single-threaded by design.
+  /// the file comment); only wall-clock changes.
   std::size_t threads = 1;
 
   void validate() const;
 };
 
-/// One entry of the cluster's scaling/failure timeline.
+/// One entry of the cluster's scaling/failure timeline. Fields a kind does
+/// not use stay zero; describe() renders an event as one line of text.
 struct ClusterEvent {
   enum class Kind {
     kScaleUp,          ///< autoscaler spawned a replica (warm-up begins)
@@ -218,7 +169,16 @@ struct ClusterEvent {
   Kind kind{};
   Duration time = Duration::zero();
   std::size_t replica = 0;  ///< replica index the event concerns
-  std::string detail;
+  std::uint64_t request = 0;  ///< kRetry, kMigrate, kHandoff: the request id
+  std::uint32_t attempt = 0;  ///< kRetry, kMigrate: the request's attempt number
+  /// kFailureDetected: stranded requests; kScaleDown: requests migrated
+  /// (`migrated`) or left to drain; kExpertRebalance: experts preloaded.
+  std::size_t count = 0;
+  /// kHandoff: KV tokens shipped; kRetry, kMigrate: tokens resumed.
+  std::int64_t kv_tokens = 0;
+  Duration ready_at = Duration::zero();  ///< kScaleUp: end of the warm-up
+  bool resumed = false;   ///< kRetry, kMigrate: resumed from carried KV state
+  bool migrated = false;  ///< kScaleDown: the retiree's work was live-migrated
 };
 
 [[nodiscard]] std::string to_string(ClusterEvent::Kind kind);
@@ -300,6 +260,10 @@ struct ClusterReport {
   std::vector<ClusterEvent> events;  ///< scaling/failure timeline, time order
 };
 
+/// One line of text for `ev`, e.g. "request 7 attempt 1 -> replica2";
+/// `report` supplies the replica names.
+[[nodiscard]] std::string describe(const ClusterEvent& ev, const ClusterReport& report);
+
 /// A fleet of replica servers interleaved in simulated time.
 class ClusterSim {
  public:
@@ -333,7 +297,6 @@ class ClusterSim {
     std::unique_ptr<ServerSim> server;
     std::size_t dispatched = 0;
     Duration spawned_at = Duration::zero();
-    Duration detect_at = Duration::infinite();  ///< fail-stop detection instant
     Duration retired_at = Duration::zero();     ///< scale-down decision instant
     bool detected = false;  ///< failure detected (excluded, harvested)
     bool retired = false;   ///< scaled down (excluded from dispatch)
@@ -341,6 +304,8 @@ class ClusterSim {
     bool prefill = false;   ///< disaggregated-serving role (false = decode/unified)
     std::size_t steps_seen = 0;  ///< steps folded into the EWMA so far
     double ewma_ms = 0.0;        ///< step-duration EWMA (health signal)
+
+    [[nodiscard]] bool accepting() const { return !detected && !retired; }
   };
 
   void add_replica(const ReplicaSpec& spec, Duration spawned_at, Duration start_at,
@@ -348,8 +313,6 @@ class ClusterSim {
   void update_ewma(Replica& r);
   /// Replica `i` as the dispatcher sees it at `now`.
   [[nodiscard]] ReplicaSnapshot snapshot(std::size_t i, Duration now) const;
-  [[nodiscard]] std::vector<ReplicaSnapshot> snapshots(Duration now) const;
-  [[nodiscard]] std::size_t accepting_count() const;
 
   core::SystemConfig sys_;
   moe::MoeModelConfig model_;
@@ -364,6 +327,8 @@ class ClusterSim {
   ReplicaSpec growth_;        ///< template for autoscaled replicas (no faults)
   std::uint64_t next_seed_;   ///< routing seed for the next spawned replica
   bool used_ = false;
+
+  struct Run;  ///< one run()'s state and event handlers (cluster.cpp)
 };
 
 }  // namespace monde::serve

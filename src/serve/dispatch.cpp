@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <map>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -22,6 +23,17 @@ std::size_t argmin_load(const std::vector<ReplicaSnapshot>& snapshots, LoadFn lo
     if (load(snapshots[i]) < load(snapshots[best])) best = i;
   }
   return best;
+}
+
+/// Two distinct uniform probes into [0, n) for n >= 2, in ascending order.
+/// The draws are fixed: the first from [0, n), the second from the n - 1
+/// remaining indices.
+std::pair<std::size_t, std::size_t> two_probes(std::size_t n, Rng& rng) {
+  std::size_t a = static_cast<std::size_t>(rng.next_below(n));
+  std::size_t b = static_cast<std::size_t>(rng.next_below(n - 1));
+  if (b >= a) ++b;
+  if (a > b) std::swap(a, b);
+  return {a, b};
 }
 
 class RoundRobinDispatcher final : public Dispatcher {
@@ -47,7 +59,7 @@ class JoinShortestQueueDispatcher final : public Dispatcher {
   }
 };
 
-class LeastOutstandingTokensDispatcher final : public Dispatcher {
+class LeastOutstandingTokensDispatcher : public Dispatcher {
  public:
   [[nodiscard]] std::string name() const override { return "least-outstanding-tokens"; }
 
@@ -66,18 +78,25 @@ class PowerOfTwoChoicesDispatcher final : public Dispatcher {
 
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
     MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    const std::size_t n = snapshots.size();
-    if (n == 1) return 0;
-    // Two distinct uniform probes; keep the shorter queue (lower index wins
-    // ties so the choice is deterministic).
-    std::size_t a = static_cast<std::size_t>(rng_.next_below(n));
-    std::size_t b = static_cast<std::size_t>(rng_.next_below(n - 1));
-    if (b >= a) ++b;
-    if (a > b) std::swap(a, b);
+    if (snapshots.size() == 1) return 0;
+    // Keep the shorter queue of two probes (lower index wins ties so the
+    // choice is deterministic).
+    const auto [a, b] = two_probes(snapshots.size(), rng_);
     return snapshots[b].in_flight < snapshots[a].in_flight ? b : a;
   }
 
  private:
+  Rng rng_;
+};
+
+/// Base of the residency-aware policies: least-outstanding-tokens for
+/// requests lacking the state they route on, plus the RNG stream of their
+/// spill-over probes.
+class ResidencyDispatcher : public LeastOutstandingTokensDispatcher {
+ public:
+  explicit ResidencyDispatcher(std::uint64_t seed) : rng_{seed} {}
+
+ protected:
   Rng rng_;
 };
 
@@ -88,12 +107,8 @@ class PowerOfTwoChoicesDispatcher final : public Dispatcher {
 /// than twice its outstanding tokens. Deterministic given the RNG stream.
 std::size_t spill_over(const std::vector<ReplicaSnapshot>& snapshots, std::size_t choice,
                        Rng& rng) {
-  const std::size_t n = snapshots.size();
-  if (n < 2) return choice;
-  std::size_t a = static_cast<std::size_t>(rng.next_below(n));
-  std::size_t b = static_cast<std::size_t>(rng.next_below(n - 1));
-  if (b >= a) ++b;
-  if (a > b) std::swap(a, b);
+  if (snapshots.size() < 2) return choice;
+  const auto [a, b] = two_probes(snapshots.size(), rng);
   const std::size_t probe =
       snapshots[b].outstanding_tokens < snapshots[a].outstanding_tokens ? b : a;
   if (snapshots[choice].outstanding_tokens > 2 * snapshots[probe].outstanding_tokens) {
@@ -102,17 +117,12 @@ std::size_t spill_over(const std::vector<ReplicaSnapshot>& snapshots, std::size_
   return choice;
 }
 
-class ExpertAffinityDispatcher final : public Dispatcher {
+class ExpertAffinityDispatcher final : public ResidencyDispatcher {
  public:
-  explicit ExpertAffinityDispatcher(std::uint64_t seed) : rng_{seed} {}
+  using ResidencyDispatcher::ResidencyDispatcher;
+  using ResidencyDispatcher::pick;
 
   [[nodiscard]] std::string name() const override { return "expert-affinity"; }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
 
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
                    const Request& rq) override {
@@ -134,22 +144,14 @@ class ExpertAffinityDispatcher final : public Dispatcher {
     }
     return spill_over(snapshots, best, rng_);
   }
-
- private:
-  Rng rng_;
 };
 
-class ExpertShardedDispatcher final : public Dispatcher {
+class ExpertShardedDispatcher final : public ResidencyDispatcher {
  public:
-  explicit ExpertShardedDispatcher(std::uint64_t seed) : rng_{seed} {}
+  using ResidencyDispatcher::ResidencyDispatcher;
+  using ResidencyDispatcher::pick;
 
   [[nodiscard]] std::string name() const override { return "expert-sharded"; }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
 
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
                    const Request& rq) override {
@@ -164,21 +166,13 @@ class ExpertShardedDispatcher final : public Dispatcher {
         moe::expert_signature_bit(primary.layer, primary.expert)) % snapshots.size();
     return spill_over(snapshots, home, rng_);
   }
-
- private:
-  Rng rng_;
 };
 
-/// Ring point of one virtual node: the murmur finalizer over the packed
-/// (replica, vnode) pair. Pure in its inputs, so every dispatcher instance
-/// (and both cluster loops) places the same replica at the same points.
+/// Ring point of one virtual node: prefix_mix() over the packed (replica,
+/// vnode) pair. Pure in its inputs, so every dispatcher instance (and both
+/// cluster loops) places the same replica at the same points.
 std::uint64_t ring_point(std::size_t replica, std::uint32_t vnode) {
-  std::uint64_t x = (static_cast<std::uint64_t>(replica) << 8) | vnode;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 29;
-  return x;
+  return prefix_mix((static_cast<std::uint64_t>(replica) << 8) | vnode);
 }
 
 /// Consistent-hash-ring routing on the request's shared prefix id.
@@ -192,17 +186,12 @@ std::uint64_t ring_point(std::size_t replica, std::uint32_t vnode) {
 /// spill-over (power-of-two probes) protects a popular group's home from
 /// melting. Requests with no shared prefix, and decode-phase requests (no
 /// prefill left to save), fall back to least-outstanding-tokens.
-class PrefixHashDispatcher final : public Dispatcher {
+class PrefixHashDispatcher final : public ResidencyDispatcher {
  public:
-  explicit PrefixHashDispatcher(std::uint64_t seed) : rng_{seed} {}
+  using ResidencyDispatcher::ResidencyDispatcher;
+  using ResidencyDispatcher::pick;
 
   [[nodiscard]] std::string name() const override { return "prefix-hash"; }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
 
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
                    const Request& rq) override {
@@ -210,12 +199,7 @@ class PrefixHashDispatcher final : public Dispatcher {
     if (rq.prefix_id == 0 || rq.decode_phase()) return pick(snapshots);
     sync_ring(snapshots);
     // Walk clockwise from the key to the first virtual node (wrapping).
-    std::uint64_t key = rq.prefix_id;
-    key *= 0xff51afd7ed558ccdULL;
-    key ^= key >> 33;
-    key *= 0xc4ceb9fe1a85ec53ULL;
-    key ^= key >> 29;
-    auto it = ring_.lower_bound(key);
+    auto it = ring_.lower_bound(prefix_mix(rq.prefix_id));
     if (it == ring_.end()) it = ring_.begin();
     const std::size_t home_replica = it->second;
     std::size_t home = 0;
@@ -279,7 +263,6 @@ class PrefixHashDispatcher final : public Dispatcher {
     }
   }
 
-  Rng rng_;
   std::map<std::uint64_t, std::size_t> ring_;  ///< point -> replica id
   std::vector<std::size_t> members_;           ///< sorted replica ids on the ring
   std::vector<std::size_t> seen_;              ///< scratch for the per-pick diff
@@ -293,17 +276,12 @@ class PrefixHashDispatcher final : public Dispatcher {
 /// group seeds a home wherever the load is lowest), for prefix-less
 /// requests, and for decode-phase work. The spill-over keeps a saturated
 /// holder from absorbing its whole group.
-class PrefixAffinityDispatcher final : public Dispatcher {
+class PrefixAffinityDispatcher final : public ResidencyDispatcher {
  public:
-  explicit PrefixAffinityDispatcher(std::uint64_t seed) : rng_{seed} {}
+  using ResidencyDispatcher::ResidencyDispatcher;
+  using ResidencyDispatcher::pick;
 
   [[nodiscard]] std::string name() const override { return "prefix-affinity"; }
-
-  std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots) override {
-    MONDE_REQUIRE(!snapshots.empty(), "dispatcher needs at least one replica");
-    return argmin_load(snapshots,
-                       [](const ReplicaSnapshot& s) { return s.outstanding_tokens; });
-  }
 
   std::size_t pick(const std::vector<ReplicaSnapshot>& snapshots,
                    const Request& rq) override {
@@ -317,13 +295,9 @@ class PrefixAffinityDispatcher final : public Dispatcher {
     if (holders_.empty()) return pick(snapshots);
     std::size_t choice = holders_.front();
     if (holders_.size() > 1) {
-      // Two distinct uniform probes among the holders; fewer outstanding
-      // tokens wins, lower index on ties.
-      const std::size_t h = holders_.size();
-      std::size_t a = static_cast<std::size_t>(rng_.next_below(h));
-      std::size_t b = static_cast<std::size_t>(rng_.next_below(h - 1));
-      if (b >= a) ++b;
-      if (a > b) std::swap(a, b);
+      // Two probes among the holders; fewer outstanding tokens wins, lower
+      // index on ties.
+      const auto [a, b] = two_probes(holders_.size(), rng_);
       choice = snapshots[holders_[b]].outstanding_tokens <
                        snapshots[holders_[a]].outstanding_tokens
                    ? holders_[b]
@@ -333,7 +307,6 @@ class PrefixAffinityDispatcher final : public Dispatcher {
   }
 
  private:
-  Rng rng_;
   std::vector<std::size_t> holders_;  ///< scratch: view indices holding the prefix
 };
 

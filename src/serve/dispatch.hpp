@@ -2,26 +2,14 @@
 //
 // A ClusterSim (cluster.hpp) fronts N replica servers with one dispatcher:
 // at every request's arrival instant the dispatcher sees a load snapshot of
-// each replica and picks where the request goes. Four classic load-only
-// policies:
-//
-//   * round-robin             -- rotate through replicas, load-oblivious;
-//     the baseline every load balancer starts from.
-//   * join-shortest-queue     -- send to the replica with the fewest
-//     accepted-but-unfinished requests; the canonical load-aware policy.
-//   * least-outstanding-tokens -- like JSQ but weighs each request by the
-//     tokens it still owes (un-prefilled prompt + remaining decode budget),
-//     so one long request counts for more than several short ones.
-//   * power-of-two-choices    -- sample two random replicas, keep the
-//     shorter queue; near-JSQ tail latency while probing O(1) replicas
-//     (Mitzenmacher's "power of two choices").
-//
-// plus four residency-aware policies that additionally read what is already
-// *resident* on each replica -- expert weights (kExpertAffinity /
-// kExpertSharded, serve/expert.hpp) or shared KV prefixes (kPrefixHash /
-// kPrefixAffinity, serve/kvcache.hpp). docs/DISPATCH.md is the reference
-// page: the full policy matrix, each policy's snapshot-field dependencies,
-// and the tie-break rules.
+// each replica and picks where the request goes: one of four classic
+// load-only policies (round-robin, join-shortest-queue,
+// least-outstanding-tokens, power-of-two-choices) or four residency-aware
+// ones that also read what is already resident on each replica -- expert
+// weights (serve/expert.hpp) or shared KV prefixes (serve/kvcache.hpp). The
+// DispatchPolicy enumerators below summarize each; docs/DISPATCH.md is the
+// reference page: the policy matrix, each policy's snapshot-field
+// dependencies, and the tie-break rules.
 //
 // Policies are deterministic given their seed; ties break toward the lowest
 // replica index.
@@ -35,20 +23,13 @@
 // replica healthy the filter is the identity, so fault-free dispatch is
 // bit-identical to the pre-health behavior.
 //
-// Snapshot maintenance: by default the cluster maintains the eligible list
-// incrementally -- one snapshot per accepting replica, load fields written
-// through when that replica's server mutates, membership adjusted on spawn/
-// detection/retirement -- so a dispatch costs O(changed replicas), not
-// O(fleet). A finite slow-EWMA factor runs that list through
-// eligible_snapshots() below at every dispatch, which costs
-// O(accepting * log accepting) for the median; the default infinite factor
-// hands the list to the policy as is. The load fields (in_flight,
-// outstanding_tokens) and membership are exact; the purely time-varying
-// fields (heartbeat_age_ms, warming) are refreshed per dispatch only for
-// replicas where they can still move (cold-starting or undetected-fail-stop
-// ones). A custom policy that reads
-// exact heartbeat ages of healthy replicas should run the cluster with
-// ClusterConfig::reference_loop (see cluster.hpp).
+// Snapshot maintenance: the cluster keeps the accepting replicas' snapshots
+// incrementally (serve/calendar.hpp), so a dispatch costs O(changed
+// replicas), not O(fleet); a finite slow-EWMA factor runs them through
+// eligible_snapshots() below at every dispatch. The purely time-varying
+// fields (heartbeat_age_ms, warming) are refreshed only where they can still
+// move; a custom policy that reads exact heartbeat ages of healthy replicas
+// should run the cluster with ClusterConfig::reference_loop (cluster.hpp).
 //
 // Units: `outstanding_tokens` counts tokens, `heartbeat_age_ms` and
 // `step_ewma_ms` are simulated milliseconds. Snapshots are plain values --
@@ -73,7 +54,7 @@ enum class DispatchPolicy {
   kRoundRobin,              ///< rotate through replicas, load-oblivious
   kJoinShortestQueue,       ///< fewest in-flight requests wins
   kLeastOutstandingTokens,  ///< fewest still-owed tokens wins
-  kPowerOfTwoChoices,       ///< two random probes, lighter queue wins
+  kPowerOfTwoChoices,       ///< two random probes, lighter queue wins (Mitzenmacher)
   // Gating-aware policies (expert-aware serving, serve/expert.hpp). They
   // read the request's ExpertProfile and the replicas' expert residency
   // signatures; with both absent they reduce to least-outstanding-tokens.

@@ -46,19 +46,21 @@
 
 namespace monde::serve {
 
-/// Signature bit a shared prefix occupies in the 64-bit residency summary
-/// (see KvCache::prefix_signature). Same murmur-finalizer family as
-/// moe::expert_signature_bit so both residency views hash comparably well.
-/// Deterministic in `prefix_id` alone -- dispatchers and caches agree on
-/// the bit without sharing state. `prefix_id` 0 ("no shared prefix") is
-/// never inserted, so its bit value is irrelevant.
-[[nodiscard]] inline int prefix_signature_bit(std::uint64_t prefix_id) {
-  std::uint64_t x = prefix_id;
+/// The murmur-finalizer mix behind prefix signature bits and the prefix-hash
+/// ring (same family as moe::expert_signature_bit).
+[[nodiscard]] inline std::uint64_t prefix_mix(std::uint64_t x) {
   x *= 0xff51afd7ed558ccdULL;
   x ^= x >> 33;
   x *= 0xc4ceb9fe1a85ec53ULL;
   x ^= x >> 29;
-  return static_cast<int>(x & 63);
+  return x;
+}
+
+/// Signature bit a shared prefix occupies in the 64-bit residency summary
+/// (see KvCache::prefix_signature), deterministic in `prefix_id` alone.
+/// `prefix_id` 0 ("no shared prefix") is never inserted.
+[[nodiscard]] inline int prefix_signature_bit(std::uint64_t prefix_id) {
+  return static_cast<int>(prefix_mix(prefix_id) & 63);
 }
 
 /// Per-replica prefix-cache knobs. The default (`enabled = false`) is inert:

@@ -275,9 +275,6 @@ class ServerSim {
   /// pending); the cluster folds their spans into its health EWMA.
   [[nodiscard]] const std::vector<StepRecord>& steps() const { return steps_; }
 
-  /// The replica's prefix/KV cache (inert when disabled in the config).
-  [[nodiscard]] const KvCache& kv_cache() const { return cache_; }
-
   /// The replica's expert residency (empty when expert serving is disabled).
   [[nodiscard]] const core::ExpertCache& expert_cache() const { return expert_cache_; }
 
@@ -296,9 +293,6 @@ class ServerSim {
   /// wants the weights synchronizes on them). Returns the number fetched;
   /// a no-op on a failed/evacuated server or with expert serving disabled.
   std::size_t preload_experts(const std::vector<core::ExpertId>& ids);
-
-  /// Disaggregated serving: true when this replica runs the prefill role.
-  [[nodiscard]] bool prefill_role() const { return prefill_role_; }
 
   /// Prefill-complete releases buffered since the last take_handoffs().
   [[nodiscard]] bool has_handoffs() const { return !handoffs_out_.empty(); }

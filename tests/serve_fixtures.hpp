@@ -136,7 +136,13 @@ inline void expect_reports_identical(const ClusterReport& a, const ClusterReport
     EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "event " << i;
     EXPECT_EQ(a.events[i].time, b.events[i].time) << "event " << i;
     EXPECT_EQ(a.events[i].replica, b.events[i].replica) << "event " << i;
-    EXPECT_EQ(a.events[i].detail, b.events[i].detail) << "event " << i;
+    EXPECT_EQ(a.events[i].request, b.events[i].request) << "event " << i;
+    EXPECT_EQ(a.events[i].attempt, b.events[i].attempt) << "event " << i;
+    EXPECT_EQ(a.events[i].count, b.events[i].count) << "event " << i;
+    EXPECT_EQ(a.events[i].kv_tokens, b.events[i].kv_tokens) << "event " << i;
+    EXPECT_EQ(a.events[i].ready_at, b.events[i].ready_at) << "event " << i;
+    EXPECT_EQ(a.events[i].resumed, b.events[i].resumed) << "event " << i;
+    EXPECT_EQ(a.events[i].migrated, b.events[i].migrated) << "event " << i;
   }
 }
 

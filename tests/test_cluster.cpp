@@ -5,6 +5,9 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "serve/arrivals.hpp"
@@ -394,6 +397,48 @@ TEST(ClusterSim, FailStopRequestsAllCompleteViaRetry) {
     EXPECT_LT(m.arrival, specs[1].fault.fail_at);
   }
   EXPECT_EQ(retried, rep.retries);
+}
+
+TEST(ClusterEvent, DescribeMatchesTheTimelineWording) {
+  // One event per kind (both scale-down wordings, a plain and a resumed
+  // retry or migration), against the timeline text the cluster has always
+  // printed.
+  ClusterReport rep;
+  for (const char* name : {"replica0 (MD+LB)", "replica1 (MD+LB) [prefill]",
+                           "replica2 (GPU+PM)"}) {
+    ReplicaReport rr;
+    rr.name = name;
+    rep.replicas.push_back(rr);
+  }
+  using Kind = ClusterEvent::Kind;
+  const std::vector<std::pair<ClusterEvent, std::string>> golden{
+      {{.kind = Kind::kScaleUp, .replica = 2, .ready_at = Duration::millis(20)},
+       "spawned replica2 (GPU+PM), ready at 20.000 ms"},
+      {{.kind = Kind::kScaleDown, .replica = 1, .count = 4},
+       "retired replica1 (MD+LB) [prefill] (4 request(s) left to drain)"},
+      {{.kind = Kind::kScaleDown, .replica = 0, .count = 3, .migrated = true},
+       "retired replica0 (MD+LB) (migrated 3 request(s))"},
+      {{.kind = Kind::kFailStop, .replica = 1}, "replica1 died"},
+      {{.kind = Kind::kFailureDetected, .replica = 1, .count = 7},
+       "heartbeat stale; 7 stranded request(s) queued for retry"},
+      {{.kind = Kind::kRetry, .replica = 2, .request = 21, .attempt = 1},
+       "request 21 attempt 1 -> replica2"},
+      {{.kind = Kind::kRetry, .replica = 0, .request = 9, .attempt = 2, .kv_tokens = 40,
+        .resumed = true},
+       "request 9 attempt 2 -> replica0 (resumed 40 tokens)"},
+      {{.kind = Kind::kMigrate, .replica = 2, .request = 12, .attempt = 1},
+       "request 12 attempt 1 -> replica2"},
+      {{.kind = Kind::kMigrate, .replica = 0, .request = 5, .attempt = 3, .kv_tokens = 17,
+        .resumed = true},
+       "request 5 attempt 3 -> replica0 (resumed 17 tokens)"},
+      {{.kind = Kind::kExpertRebalance, .replica = 2, .count = 4},
+       "preloaded 4 hot expert(s) onto replica2"},
+      {{.kind = Kind::kHandoff, .replica = 2, .request = 8, .kv_tokens = 33},
+       "request 8 prefill complete -> replica2 (33 KV tokens)"},
+  };
+  for (const auto& [ev, text] : golden) {
+    EXPECT_EQ(describe(ev, rep), text) << to_string(ev.kind);
+  }
 }
 
 TEST(ClusterSim, FailStopAfterLastArrivalStillRecoversStrandedWork) {
