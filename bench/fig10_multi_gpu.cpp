@@ -9,14 +9,21 @@
 // MD+LB fleet with per-replica expert residency, dispatched load-only vs
 // by gating affinity vs hash-sharded -- expert placement across devices as
 // a policy choice rather than a static partition.
+//
+//   ./bench/fig10_multi_gpu                full reproduction
+//   ./bench/fig10_multi_gpu --json f       + the MD+LB and 2GPU throughputs
+//                                            normalized to GPU+PM (the bench
+//                                            budget gate)
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "serve/arrivals.hpp"
 #include "serve/cluster.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace monde;
   using core::StrategyKind;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
+  bench::BenchMetrics metrics{"fig10_multi_gpu"};
   bench::banner("Figure 10", "MD+LB vs 2-GPU expert parallelism (NLLB-MoE)");
 
   bench::EngineFactory factory;
@@ -43,6 +50,10 @@ int main() {
       const double t_2g = tput(two);
       t.add_row({std::to_string(batch), Table::num(t_lb / t_pm, 2) + "x",
                  Table::num(t_2g / t_pm, 2) + "x", Table::num(t_2g / t_lb, 2)});
+      const std::string key =
+          std::string{decoder ? "dec" : "enc"} + ".b" + std::to_string(batch);
+      metrics.add(key + ".md_lb_over_gpu_pm", t_lb / t_pm);
+      metrics.add(key + ".two_gpu_over_gpu_pm", t_2g / t_pm);
     }
     std::printf("%s throughput normalized to GPU+PM:\n", decoder ? "decoder" : "encoder");
     t.print(std::cout);
@@ -89,5 +100,7 @@ int main() {
     std::printf("\nstatic expert parallelism fixes placement at load time; dispatch-level\n"
                 "placement adapts it to the live gating mix per request.\n");
   }
+
+  metrics.write(args.json_path);
   return 0;
 }

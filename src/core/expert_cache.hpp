@@ -21,17 +21,12 @@
 
 namespace monde::core {
 
-/// Hash for the unordered LRU index: mixes the packed (layer, expert) pair
-/// with the same finalizer family as moe::expert_signature_bit.
+/// Hash for the unordered LRU index and the serving layer's expert pins:
+/// fmix64 of the packed (layer, expert) pair. Neither map is iterated, so
+/// the hash decides no result.
 struct ExpertIdHash {
   [[nodiscard]] std::size_t operator()(const ExpertId& id) const {
-    std::uint64_t x =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.layer)) << 32) |
-        static_cast<std::uint32_t>(id.expert);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
+    return static_cast<std::size_t>(fmix64(pack_ids(id.layer, id.expert)));
   }
 };
 

@@ -11,10 +11,15 @@
 // cases where the NDP-side experts are compute-intensive (intuition 2 of
 // the paper breaks); it is auto-tuned by periodically re-evaluating recent
 // layers under candidate values and keeping the local optimum, mirroring
-// the paper's profiling-based tuner.
+// the paper's profiling-based tuner. The tuner keeps the last kTuneWindow
+// layers, each ranked once when it ran, and re-prices them on every layer of
+// the first kTunePeriod, then on every kTunePeriod-th layer. Its dry runs
+// read the GPU expert cache's residency without changing it. Pinning H
+// (set_fixed_h) stops the tuner: no dry runs, no window updates, no alpha
+// change.
 #pragma once
 
-#include <deque>
+#include <array>
 
 #include "core/strategy.hpp"
 
@@ -43,8 +48,6 @@ class MondeLoadBalanced final : public Strategy {
 
   /// Pin H (disables Equation 6 and tuning); pass -1 to restore auto mode.
   void set_fixed_h(int h) { fixed_h_ = h; }
-  /// Pin alpha and disable the auto-tuner.
-  void set_alpha(double alpha, bool keep_tuning = false);
 
   /// Replace the datasheet bandwidths in Equation 6 with profiled values
   /// (paper Section 3.3: "this can be replaced by profiled bandwidths").
@@ -55,23 +58,35 @@ class MondeLoadBalanced final : public Strategy {
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] int last_h() const { return last_h_; }
 
-  /// Layers between tuner invocations.
-  int tune_period = 4;
-  /// Recent-layer window size used by the tuner.
-  std::size_t tune_window = 4;
-
  private:
-  MoeLayerResult schedule_layer(const moe::MoeLayerWork& work, int h,
-                                sim::StreamSchedule& sched, const HwStreams& hw,
-                                Duration ready);
-  void maybe_retune();
+  /// Layers between tuner runs, after the first kTunePeriod layers (all tuned).
+  static constexpr int kTunePeriod = 4;
+  /// Recent layers the tuner re-prices.
+  static constexpr std::size_t kTuneWindow = 4;
+
+  /// What a dry run needs of a past layer.
+  struct RankedLayer {
+    int layer_id = 0;
+    std::int64_t total_tokens = 0;
+    RankedExperts experts;
+  };
+
+  MoeLayerResult schedule_layer(int layer_id, std::int64_t total_tokens, ExpertSpan experts,
+                                int h, Weights weights, sim::StreamSchedule& sched,
+                                const HwStreams& hw, Duration ready);
+  Duration dry_run(int layer_id, std::int64_t total_tokens, ExpertSpan experts, int h);
+  [[nodiscard]] double h_raw(std::size_t activated) const;
+  [[nodiscard]] int h_for(std::size_t activated, double alpha) const;
+  void remember(const moe::MoeLayerWork& work, const RankedExperts& experts);
+  void retune();
 
   double alpha_ = 1.0;
-  bool autotune_ = true;
   int fixed_h_ = -1;
   int last_h_ = -1;
   int layers_seen_ = 0;
-  std::deque<moe::MoeLayerWork> window_;
+  std::array<RankedLayer, kTuneWindow> window_;  ///< ring, oldest at window_head_
+  std::size_t window_head_ = 0;
+  std::size_t window_size_ = 0;
   Bandwidth profiled_pcie_;   ///< zero = use specification
   Bandwidth profiled_monde_;  ///< zero = use specification
   sim::StreamSchedule scratch_{/*record=*/false};  ///< evaluate_layer_with_h's dry-run streams

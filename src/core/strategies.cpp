@@ -8,19 +8,6 @@ namespace monde::core {
 
 namespace {
 
-using ExpertList = std::vector<std::pair<std::size_t, std::uint64_t>>;
-
-/// Activated experts of a layer in descending-load order.
-ExpertList activated_by_load(const moe::MoeLayerWork& work) {
-  ExpertList out;
-  for (std::size_t e : work.experts_by_load()) {
-    const std::uint64_t tok = work.tokens_per_expert[e];
-    if (tok == 0) break;  // sorted descending; the rest are zero
-    out.emplace_back(e, tok);
-  }
-  return out;
-}
-
 /// Lazy "<what> E<e> (<tok> tok)" trace label, formatted only when the
 /// schedule records.
 auto expert_label(const char* what, std::size_t e, std::uint64_t tok) {
@@ -74,48 +61,60 @@ std::string to_string(StrategyKind kind) {
   return "?";
 }
 
-Duration Strategy::place_gating(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+const Strategy::RankedExperts& Strategy::rank(const moe::MoeLayerWork& work) {
+  ranked_.clear();
+  for (std::size_t e = 0; e < work.tokens_per_expert.size(); ++e) {
+    if (const std::uint64_t tok = work.tokens_per_expert[e]; tok > 0) ranked_.emplace_back(e, tok);
+  }
+  std::sort(ranked_.begin(), ranked_.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  return ranked_;
+}
+
+Duration Strategy::place_gating(std::int64_t tokens, sim::StreamSchedule& sched,
                                 const HwStreams& hw, Duration ready,
                                 MoeLayerResult& result) const {
-  const Duration t = ctx_.xformer->gating_time(work.total_tokens, ctx_.model->num_experts,
-                                               ctx_.model->dmodel);
+  const Duration t =
+      ctx_.xformer->gating_time(tokens, ctx_.model->num_experts, ctx_.model->dmodel);
   const auto iv = sched.place(hw.gpu, ready, t, "gating", "gating");
   result.gating += t;
   return iv.end;
 }
 
-Duration Strategy::place_combine(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
+Duration Strategy::place_combine(std::int64_t tokens, sim::StreamSchedule& sched,
                                  const HwStreams& hw, Duration ready,
                                  MoeLayerResult& result) const {
-  const Duration t = ctx_.xformer->combine_time(work.total_tokens, ctx_.model->dmodel);
+  const Duration t = ctx_.xformer->combine_time(tokens, ctx_.model->dmodel);
   const auto iv = sched.place(hw.gpu, ready, t, "combine", "combine");
   result.combine += t;
   return iv.end;
 }
 
-Duration Strategy::place_pmove_pipeline(const ExpertList& experts, int layer_id,
-                                        sim::StreamSchedule& sched, const HwStreams& hw,
-                                        Duration ready, sim::StreamId gpu_stream,
-                                        MoeLayerResult& result) {
+Duration Strategy::place_gpu_experts(ExpertSpan experts, Weights weights, int layer_id,
+                                     sim::StreamSchedule& sched, const HwStreams& hw,
+                                     Duration ready, sim::StreamId gpu_stream,
+                                     MoeLayerResult& result) {
   Duration last_end = ready;
-  const Bytes weights = ctx_.model->expert_bytes();
+  const Bytes bytes = ctx_.model->expert_bytes();
   for (const auto& [e, tok] : experts) {
-    // Weights stream host/CXL memory -> GPU on the M->G direction; the
-    // expert GEMM launches as soon as its parameters land and the host has
-    // dispatched the kernel. Transfers of later experts overlap earlier
-    // experts' compute (Figure 5, GPU+PM row). Cache-resident experts skip
-    // the transfer entirely.
-    const ExpertId eid{layer_id, static_cast<int>(e)};
-    const bool cached = expert_cache_ && expert_cache_->access(eid);
+    // Fetched weights stream host/CXL memory -> GPU on the M->G direction;
+    // the GEMM launches as soon as its parameters land and the host has
+    // dispatched the kernel (Figure 5, GPU+PM row). Cache-resident experts
+    // skip the transfer.
     Duration weights_ready = ready;
-    if (!cached) {
-      const auto tr = sched.place(hw.pcie_m2g, ready, ctx_.sys->pcie.transfer_time(weights),
-                                  expert_label("PMove", e, tok), "pmove");
-      weights_ready = tr.end;
-      result.pmove_bytes += weights;
-      if (expert_cache_) expert_cache_->insert(eid);
-    } else {
-      ++result.cache_hits;
+    if (weights != Weights::kResident) {
+      const ExpertId eid{layer_id, static_cast<int>(e)};
+      const bool commit = weights == Weights::kPmove;
+      if (expert_cache_ && (commit ? expert_cache_->access(eid) : expert_cache_->contains(eid))) {
+        ++result.cache_hits;
+      } else {
+        weights_ready = sched.place(hw.pcie_m2g, ready, ctx_.sys->pcie.transfer_time(bytes),
+                                    expert_label("PMove", e, tok), "pmove")
+                            .end;
+        result.pmove_bytes += bytes;
+        if (expert_cache_ && commit) expert_cache_->insert(eid);
+      }
     }
     const auto disp = sched.place(hw.host, ready, ctx_.sys->gpu_expert_dispatch,
                                   expert_label("dispatch", e, tok), "driver");
@@ -130,46 +129,34 @@ Duration Strategy::place_pmove_pipeline(const ExpertList& experts, int layer_id,
   return last_end;
 }
 
-std::vector<ExpertList> Strategy::round_robin_devices(const ExpertList& experts) const {
+Duration Strategy::place_ndp_batch(ExpertSpan experts, sim::StreamSchedule& sched,
+                                   const HwStreams& hw, Duration ready,
+                                   MoeLayerResult& result) const {
   const std::size_t n = ctx_.devices.size();
   MONDE_REQUIRE(n > 0, "strategy needs MoNDE devices");
-  std::vector<ExpertList> per_device(n);
-  for (std::size_t i = 0; i < experts.size(); ++i) {
-    per_device[i % n].push_back(experts[i]);
-  }
-  return per_device;
-}
-
-Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
-                                   sim::StreamSchedule& sched, const HwStreams& hw,
-                                   Duration ready, MoeLayerResult& result) const {
-  MONDE_REQUIRE(per_device.size() <= hw.ndp.size(), "more device lists than NDP streams");
+  MONDE_REQUIRE(n <= hw.ndp.size(), "more MoNDE devices than NDP streams");
+  // The host driver prepares each expert offload (input slicing, two 64-B
+  // NDP instructions over CXL, completion arming) while the activation DMA
+  // is in flight; dispatches serialize on the host thread and gate each
+  // kernel's start -- the framework-bound regime the paper's profiled
+  // workflow exhibits for many-cold-expert layers.
+  const Duration per_dispatch =
+      ctx_.sys->offload_dispatch_overhead + ctx_.sys->cxl.message_time(Bytes{64}) * 2.0;
   Duration all_end = ready;
-  const Bytes instr{64};
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    const ExpertList& experts = per_device[d];
-    if (experts.empty()) continue;
-
-    // AMove input: all routed activations for this device's experts in one
-    // DMA (G->M direction).
+  for (std::size_t d = 0; d < n && d < experts.size(); ++d) {
+    // Device d runs experts d, d+n, d+2n, ... of the load-ordered list.
+    // AMove input: all routed activations for its experts in one DMA (G->M).
     std::uint64_t routed = 0;
-    for (const auto& [e, tok] : experts) routed += tok;
+    for (std::size_t i = d; i < experts.size(); i += n) routed += experts[i].second;
     const Bytes in_bytes = ctx_.activation_bytes(routed);
     const auto am =
         sched.place(hw.pcie_g2m, ready, ctx_.sys->pcie.transfer_time(in_bytes),
                     [d] { return "AMove-in dev" + std::to_string(d); }, "amove");
     result.amove_bytes += in_bytes;
 
-    // The host driver prepares each expert offload (input slicing, two 64-B
-    // NDP instructions over CXL, completion arming) while the activation
-    // DMA is in flight; dispatches serialize on the host thread and gate
-    // each kernel's start -- the framework-bound regime the paper's
-    // profiled workflow exhibits for many-cold-expert layers.
-    const Duration per_dispatch =
-        ctx_.sys->offload_dispatch_overhead + ctx_.sys->cxl.message_time(instr) * 2.0;
-
     Duration kernel_ready = am.end;
-    for (const auto& [e, tok] : experts) {
+    for (std::size_t i = d; i < experts.size(); i += n) {
+      const auto [e, tok] = experts[i];
       const auto disp = sched.place(hw.host, ready, per_dispatch,
                                     expert_label("offload", e, tok), "driver");
       const auto kr = ctx_.devices[d]->expert_latency(
@@ -194,55 +181,31 @@ Duration Strategy::place_ndp_batch(const std::vector<ExpertList>& per_device,
   return all_end;
 }
 
-// --- Ideal -------------------------------------------------------------------
+// --- Ideal and GPU+PM -----------------------------------------------------------
 
 namespace {
 
-class IdealGpu final : public Strategy {
+/// Every activated expert on the primary GPU: weights resident (Ideal,
+/// infinite GPU memory) or fetched on demand over PCIe (GPU+PM).
+class GpuOnly final : public Strategy {
  public:
-  using Strategy::Strategy;
-  [[nodiscard]] std::string name() const override { return "Ideal"; }
+  GpuOnly(StrategyContext ctx, StrategyKind kind) : Strategy{std::move(ctx)}, kind_{kind} {}
+  [[nodiscard]] std::string name() const override { return to_string(kind_); }
 
   MoeLayerResult run_layer(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
-    Duration t = gate_end;
-    for (const auto& [e, tok] : activated_by_load(work)) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    expert_label("dispatch", e, tok), "driver");
-      const auto iv =
-          sched.place(hw.gpu, max(t, disp.end),
-                      ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                            ctx_.dtype()),
-                      expert_label("expert", e, tok), "gemm");
-      t = iv.end;
-      ++r.experts_gpu;
-    }
-    r.end = place_combine(work, sched, hw, t, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
+    const Duration experts_end = place_gpu_experts(
+        rank(work), kind_ == StrategyKind::kIdealGpu ? Weights::kResident : Weights::kPmove,
+        work.layer_id, sched, hw, gate_end, hw.gpu, r);
+    r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
-};
 
-// --- GPU+PM ------------------------------------------------------------------
-
-class GpuPmove final : public Strategy {
- public:
-  using Strategy::Strategy;
-  [[nodiscard]] std::string name() const override { return "GPU+PM"; }
-
-  MoeLayerResult run_layer(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
-                           const HwStreams& hw, Duration ready) override {
-    MoeLayerResult r;
-    r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
-    const Duration experts_end =
-        place_pmove_pipeline(activated_by_load(work), work.layer_id, sched, hw,
-                             gate_end, hw.gpu, r);
-    r.end = place_combine(work, sched, hw, experts_end, r);
-    return r;
-  }
+ private:
+  StrategyKind kind_;
 };
 
 // --- MD+AM -------------------------------------------------------------------
@@ -256,10 +219,9 @@ class MondeAmove final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
-    const auto per_device = round_robin_devices(activated_by_load(work));
-    const Duration experts_end = place_ndp_batch(per_device, sched, hw, gate_end, r);
-    r.end = place_combine(work, sched, hw, experts_end, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
+    const Duration experts_end = place_ndp_batch(rank(work), sched, hw, gate_end, r);
+    r.end = place_combine(work.total_tokens, sched, hw, experts_end, r);
     return r;
   }
 };
@@ -275,9 +237,9 @@ class CpuAmove final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
 
-    const ExpertList experts = activated_by_load(work);
+    const RankedExperts& experts = rank(work);
     std::uint64_t routed = 0;
     for (const auto& [e, tok] : experts) routed += tok;
     const Bytes in_bytes = ctx_.activation_bytes(routed);
@@ -305,7 +267,7 @@ class CpuAmove final : public Strategy {
       last_out = max(last_out, out.end);
       ++r.experts_cpu;
     }
-    r.end = place_combine(work, sched, hw, last_out, r);
+    r.end = place_combine(work.total_tokens, sched, hw, last_out, r);
     return r;
   }
 };
@@ -323,56 +285,31 @@ class MultiGpu final : public Strategy {
                            const HwStreams& hw, Duration ready) override {
     MoeLayerResult r;
     r.start = ready;
-    const Duration gate_end = place_gating(work, sched, hw, ready, r);
+    const Duration gate_end = place_gating(work.total_tokens, sched, hw, ready, r);
 
     // Static expert parallelism: even experts on GPU-0, odd on GPU-1; all
     // weights are resident (the multi-GPU baseline assumes capacity).
-    ExpertList local, remote;
+    RankedExperts local, remote;
     std::uint64_t remote_tokens = 0;
-    for (const auto& [e, tok] : activated_by_load(work)) {
-      if (e % 2 == 0) {
-        local.emplace_back(e, tok);
-      } else {
-        remote.emplace_back(e, tok);
-        remote_tokens += tok;
-      }
+    for (const auto& [e, tok] : rank(work)) {
+      (e % 2 == 0 ? local : remote).emplace_back(e, tok);
+      if (e % 2 != 0) remote_tokens += tok;
     }
 
-    // All-to-all dispatch: tokens for GPU-1's experts cross the link.
+    // All-to-all dispatch: tokens for GPU-1's experts cross the link before
+    // GPU-1 can start on them.
     const Bytes dispatch = ctx_.activation_bytes(remote_tokens);
-    Duration remote_ready = gate_end;
     if (remote_tokens > 0) {
       const auto tr = sched.place(hw.pcie_g2m, gate_end,
                                   ctx_.sys->pcie.transfer_time(dispatch), "a2a dispatch",
                                   "amove");
-      remote_ready = tr.end;
+      sched.block_until(hw.gpu2, tr.end);
       r.amove_bytes += dispatch;
     }
-
-    Duration local_end = gate_end;
-    for (const auto& [e, tok] : local) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    expert_label("dispatch", e, tok), "driver");
-      const auto cp =
-          sched.place(hw.gpu, max(local_end, disp.end),
-                      ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                            ctx_.dtype()),
-                      expert_label("expert", e, tok), "gemm");
-      local_end = cp.end;
-      ++r.experts_gpu;
-    }
-    Duration remote_end = remote_ready;
-    for (const auto& [e, tok] : remote) {
-      const auto disp = sched.place(hw.host, gate_end, ctx_.sys->gpu_expert_dispatch,
-                                    expert_label("dispatch", e, tok), "driver");
-      const auto cp =
-          sched.place(hw.gpu2, max(remote_end, disp.end),
-                      ctx_.gpu->expert_time(ctx_.expert_shape(static_cast<std::int64_t>(tok)),
-                                            ctx_.dtype()),
-                      expert_label("expert", e, tok), "gemm");
-      remote_end = cp.end;
-      ++r.experts_gpu;
-    }
+    const Duration local_end = place_gpu_experts(local, Weights::kResident, work.layer_id,
+                                                 sched, hw, gate_end, hw.gpu, r);
+    Duration remote_end = place_gpu_experts(remote, Weights::kResident, work.layer_id, sched,
+                                            hw, gate_end, hw.gpu2, r);
     if (remote_tokens > 0) {
       const auto back = sched.place(hw.pcie_m2g, remote_end,
                                     ctx_.sys->pcie.transfer_time(dispatch), "a2a return",
@@ -380,7 +317,7 @@ class MultiGpu final : public Strategy {
       remote_end = back.end;
       r.amove_bytes += dispatch;
     }
-    r.end = place_combine(work, sched, hw, max(local_end, remote_end), r);
+    r.end = place_combine(work.total_tokens, sched, hw, max(local_end, remote_end), r);
     return r;
   }
 };
@@ -394,8 +331,8 @@ MondeLoadBalanced::MondeLoadBalanced(StrategyContext ctx) : Strategy{std::move(c
   scratch_hw_ = HwStreams::create(scratch_, *ctx_.sys);
 }
 
-double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
-  const double activ = static_cast<double>(work.activated_experts());
+double MondeLoadBalanced::h_raw(std::size_t activated) const {
+  const double activ = static_cast<double>(activated);
   const double bw_pcie =
       (profiled_pcie_.as_bytes_per_sec() > 0.0 ? profiled_pcie_
                                                : ctx_.sys->pcie.effective_bandwidth())
@@ -407,10 +344,17 @@ double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
   return bw_pcie / (bw_md + bw_pcie) * activ;
 }
 
+int MondeLoadBalanced::h_for(std::size_t activated, double alpha) const {
+  const double h = alpha * h_raw(activated);
+  return static_cast<int>(std::clamp(std::llround(h), 0LL, static_cast<long long>(activated)));
+}
+
+double MondeLoadBalanced::h_raw_equation6(const moe::MoeLayerWork& work) const {
+  return h_raw(static_cast<std::size_t>(work.activated_experts()));
+}
+
 int MondeLoadBalanced::h_from_equation6(const moe::MoeLayerWork& work, double alpha) const {
-  const double activ = static_cast<double>(work.activated_experts());
-  const double h = alpha * h_raw_equation6(work);
-  return static_cast<int>(std::clamp(std::llround(h), 0LL, static_cast<long long>(activ)));
+  return h_for(static_cast<std::size_t>(work.activated_experts()), alpha);
 }
 
 void MondeLoadBalanced::set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde) {
@@ -418,45 +362,52 @@ void MondeLoadBalanced::set_profiled_bandwidths(Bandwidth pcie, Bandwidth monde)
   profiled_monde_ = monde;
 }
 
-MoeLayerResult MondeLoadBalanced::schedule_layer(const moe::MoeLayerWork& work, int h,
+MoeLayerResult MondeLoadBalanced::schedule_layer(int layer_id, std::int64_t total_tokens,
+                                                 ExpertSpan experts, int h, Weights weights,
                                                  sim::StreamSchedule& sched,
                                                  const HwStreams& hw, Duration ready) {
   MoeLayerResult r;
   r.start = ready;
   r.h_value = h;
-  const Duration gate_end = place_gating(work, sched, hw, ready, r);
+  const Duration gate_end = place_gating(total_tokens, sched, hw, ready, r);
+  const std::size_t hot = std::min(static_cast<std::size_t>(std::max(h, 0)), experts.size());
 
-  const ExpertList all = activated_by_load(work);
-  const auto h_sz = static_cast<std::size_t>(std::min<std::int64_t>(
-      h, static_cast<std::int64_t>(all.size())));
-  const ExpertList hot{all.begin(), all.begin() + static_cast<std::ptrdiff_t>(h_sz)};
-  const ExpertList cold{all.begin() + static_cast<std::ptrdiff_t>(h_sz), all.end()};
-
-  // The GPU workflow (PMove + GPU GEMMs) and the MoNDE workflow (AMove +
-  // NDP) run concurrently (Equation 3); both begin once gating resolves.
-  const Duration gpu_end =
-      place_pmove_pipeline(hot, work.layer_id, sched, hw, gate_end, hw.gpu, r);
-  Duration ndp_end = gate_end;
-  if (!cold.empty()) {
-    ndp_end = place_ndp_batch(round_robin_devices(cold), sched, hw, gate_end, r);
-  }
-  r.end = place_combine(work, sched, hw, max(gpu_end, ndp_end), r);
+  // The GPU workflow (PMove + GPU GEMMs) on the top-H experts and the MoNDE
+  // workflow (AMove + NDP) on the cold rest run concurrently (Equation 3);
+  // both begin once gating resolves.
+  const Duration gpu_end = place_gpu_experts(experts.first(hot), weights, layer_id, sched, hw,
+                                             gate_end, hw.gpu, r);
+  const Duration ndp_end = place_ndp_batch(experts.subspan(hot), sched, hw, gate_end, r);
+  r.end = place_combine(total_tokens, sched, hw, max(gpu_end, ndp_end), r);
   return r;
 }
 
-Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work, int h) {
+Duration MondeLoadBalanced::dry_run(int layer_id, std::int64_t total_tokens, ExpertSpan experts,
+                                    int h) {
   scratch_.reset();
-  return schedule_layer(work, h, scratch_, scratch_hw_, Duration::zero()).latency();
+  return schedule_layer(layer_id, total_tokens, experts, h, Weights::kPmoveDryRun, scratch_,
+                        scratch_hw_, Duration::zero())
+      .latency();
 }
 
-void MondeLoadBalanced::set_alpha(double alpha, bool keep_tuning) {
-  MONDE_REQUIRE(alpha > 0.0, "alpha must be positive");
-  alpha_ = alpha;
-  autotune_ = keep_tuning;
+Duration MondeLoadBalanced::evaluate_layer_with_h(const moe::MoeLayerWork& work, int h) {
+  return dry_run(work.layer_id, work.total_tokens, rank(work), h);
 }
 
-void MondeLoadBalanced::maybe_retune() {
-  if (!autotune_ || window_.empty()) return;
+void MondeLoadBalanced::remember(const moe::MoeLayerWork& work, const RankedExperts& experts) {
+  RankedLayer* slot;
+  if (window_size_ < kTuneWindow) {
+    slot = &window_[(window_head_ + window_size_++) % kTuneWindow];
+  } else {
+    slot = &window_[window_head_];
+    window_head_ = (window_head_ + 1) % kTuneWindow;
+  }
+  slot->layer_id = work.layer_id;
+  slot->total_tokens = work.total_tokens;
+  slot->experts.assign(experts.begin(), experts.end());
+}
+
+void MondeLoadBalanced::retune() {
   // Local search mirroring the paper: evaluate H offsets around the current
   // alpha's choice on recent layers; adopt the alpha that realizes the best
   // average latency. Offsets map back to alpha via the mean Equation-6 H.
@@ -466,18 +417,19 @@ void MondeLoadBalanced::maybe_retune() {
   for (const int off : kOffsets) {
     Duration total = Duration::zero();
     double alpha_sum = 0.0;
-    for (const auto& w : window_) {
-      const int base = h_from_equation6(w, alpha_);
-      const int h = std::max(0, base + off);
-      total += evaluate_layer_with_h(w, h);
+    for (std::size_t i = 0; i < window_size_; ++i) {
+      const RankedLayer& l = window_[(window_head_ + i) % kTuneWindow];
+      const std::size_t activated = l.experts.size();
+      const int h = std::max(0, h_for(activated, alpha_) + off);
+      total += dry_run(l.layer_id, l.total_tokens, l.experts, h);
       // Invert through the *unrounded* Equation-6 value so the adopted
       // alpha reproduces exactly this H after rounding.
-      const double h0 = h_raw_equation6(w);
+      const double h0 = h_raw(activated);
       alpha_sum += h0 > 0.0 ? static_cast<double>(h) / h0 : alpha_;
     }
     if (total < best) {
       best = total;
-      best_alpha = std::max(0.05, alpha_sum / static_cast<double>(window_.size()));
+      best_alpha = std::max(0.05, alpha_sum / static_cast<double>(window_size_));
     }
   }
   alpha_ = best_alpha;
@@ -486,30 +438,30 @@ void MondeLoadBalanced::maybe_retune() {
 MoeLayerResult MondeLoadBalanced::run_layer(const moe::MoeLayerWork& work,
                                             sim::StreamSchedule& sched, const HwStreams& hw,
                                             Duration ready) {
-  // The paper tunes alpha by "periodically running profiled inference on a
-  // small set of past input batches". Mirror that: on a cold start, profile
-  // the current layer before committing (alpha = 1 can be pathologically
-  // wrong when the hottest experts are strongly compute-bound -- the exact
-  // case alpha exists for); retune every early layer, then back off to the
-  // periodic schedule.
-  if (autotune_) {
-    if (window_.empty()) window_.push_back(work);
-    const bool warmup = layers_seen_ < 4;
-    if (warmup || layers_seen_ % tune_period == 0) maybe_retune();
+  const RankedExperts& experts = rank(work);
+  int h = fixed_h_;
+  if (h < 0) {
+    // The paper tunes alpha by "periodically running profiled inference on
+    // a small set of past input batches". Mirror that: on a cold start,
+    // profile the current layer before committing (alpha = 1 can be
+    // pathologically wrong when the hottest experts are strongly
+    // compute-bound -- the exact case alpha exists for); retune every early
+    // layer, then back off to the periodic schedule.
+    if (window_size_ == 0) remember(work, experts);
+    if (layers_seen_ < kTunePeriod || layers_seen_ % kTunePeriod == 0) retune();
+    ++layers_seen_;
+    remember(work, experts);
+    h = h_for(experts.size(), alpha_);
   }
-  ++layers_seen_;
-  window_.push_back(work);
-  while (window_.size() > tune_window) window_.pop_front();
-
-  const int h = fixed_h_ >= 0 ? fixed_h_ : h_from_equation6(work, alpha_);
   last_h_ = h;
-  return schedule_layer(work, h, sched, hw, ready);
+  return schedule_layer(work.layer_id, work.total_tokens, experts, h, Weights::kPmove, sched,
+                        hw, ready);
 }
 
 std::unique_ptr<Strategy> make_strategy(StrategyKind kind, StrategyContext ctx) {
   switch (kind) {
-    case StrategyKind::kIdealGpu: return std::make_unique<IdealGpu>(std::move(ctx));
-    case StrategyKind::kGpuPmove: return std::make_unique<GpuPmove>(std::move(ctx));
+    case StrategyKind::kIdealGpu:
+    case StrategyKind::kGpuPmove: return std::make_unique<GpuOnly>(std::move(ctx), kind);
     case StrategyKind::kMondeAmove: return std::make_unique<MondeAmove>(std::move(ctx));
     case StrategyKind::kMondeLoadBalanced:
       return std::make_unique<MondeLoadBalanced>(std::move(ctx));

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -111,44 +112,55 @@ class Strategy {
   virtual MoeLayerResult run_layer(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
                                    const HwStreams& hw, Duration ready) = 0;
 
- protected:
-  /// Gating network + dispatch on the GPU stream; returns its end time.
-  Duration place_gating(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
-                        const HwStreams& hw, Duration ready, MoeLayerResult& result) const;
-  /// Combine (weighted gather) on the GPU stream.
-  Duration place_combine(const moe::MoeLayerWork& work, sim::StreamSchedule& sched,
-                         const HwStreams& hw, Duration ready, MoeLayerResult& result) const;
-
-  /// PMove pipeline: fetch each expert over PCIe (M->G) and run it on the
-  /// GPU as soon as its weights land; returns the last compute end time.
-  /// `layer_id` keys the optional GPU expert cache (transfers are skipped
-  /// for cache-resident experts).
-  Duration place_pmove_pipeline(const std::vector<std::pair<std::size_t, std::uint64_t>>& experts,
-                                int layer_id, sim::StreamSchedule& sched, const HwStreams& hw,
-                                Duration ready, sim::StreamId gpu_stream,
-                                MoeLayerResult& result);
-
-  /// AMove + NDP batch: ship activations to each device, run its experts
-  /// sequentially on the NDP, and retrieve outputs as kernels complete.
-  /// `per_device[i]` lists (expert index, tokens) for device i.
-  Duration place_ndp_batch(
-      const std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>>& per_device,
-      sim::StreamSchedule& sched, const HwStreams& hw, Duration ready,
-      MoeLayerResult& result) const;
-
-  /// Distribute experts (already sorted by descending load) round-robin
-  /// across the configured MoNDE devices (paper Section 3.3, multi-device).
-  [[nodiscard]] std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>>
-  round_robin_devices(const std::vector<std::pair<std::size_t, std::uint64_t>>& experts) const;
-
- public:
   /// The GPU expert cache, when SystemConfig::gpu_expert_cache_bytes > 0
   /// (PMove-side strategies only); nullptr otherwise.
   [[nodiscard]] const ExpertCache* expert_cache() const { return expert_cache_.get(); }
 
  protected:
+  /// A layer's activated experts as (expert index, routed tokens), hottest
+  /// first: descending token count, ties by ascending index.
+  using RankedExperts = std::vector<std::pair<std::size_t, std::uint64_t>>;
+  using ExpertSpan = std::span<const RankedExperts::value_type>;
+
+  /// Where place_gpu_experts finds each expert's weights.
+  enum class Weights {
+    kResident,     ///< already in GPU memory (Ideal, 2GPU): no transfer
+    kPmove,        ///< PMove over PCIe unless the expert cache holds it; misses are cached
+    kPmoveDryRun,  ///< as kPmove, but reads cache residency without changing it
+  };
+
+  /// Ranks `work`'s activated experts into a buffer reused across layers;
+  /// the reference is valid until the next call.
+  const RankedExperts& rank(const moe::MoeLayerWork& work);
+
+  /// Gating network + dispatch on the GPU stream; returns its end time.
+  Duration place_gating(std::int64_t tokens, sim::StreamSchedule& sched, const HwStreams& hw,
+                        Duration ready, MoeLayerResult& result) const;
+  /// Combine (weighted gather) on the GPU stream.
+  Duration place_combine(std::int64_t tokens, sim::StreamSchedule& sched, const HwStreams& hw,
+                         Duration ready, MoeLayerResult& result) const;
+
+  /// The one GPU expert loop. Each expert in order gets a PMove fetch (M->G)
+  /// unless `weights` says it is resident or the expert cache (keyed by
+  /// `layer_id`) holds it, a host dispatch, and then its GEMM on
+  /// `gpu_stream` once both are done, so later fetches overlap earlier
+  /// GEMMs. Returns the last GEMM end (`ready` when `experts` is empty).
+  Duration place_gpu_experts(ExpertSpan experts, Weights weights, int layer_id,
+                             sim::StreamSchedule& sched, const HwStreams& hw, Duration ready,
+                             sim::StreamId gpu_stream, MoeLayerResult& result);
+
+  /// AMove + NDP: deals `experts` round-robin across the MoNDE devices
+  /// (paper Section 3.3, multi-device), ships each device's activations in
+  /// one DMA, runs its experts sequentially on the NDP, and retrieves
+  /// outputs as kernels complete.
+  Duration place_ndp_batch(ExpertSpan experts, sim::StreamSchedule& sched, const HwStreams& hw,
+                           Duration ready, MoeLayerResult& result) const;
+
   StrategyContext ctx_;
   std::unique_ptr<ExpertCache> expert_cache_;
+
+ private:
+  RankedExperts ranked_;  ///< rank()'s buffer
 };
 
 /// Factory covering every StrategyKind.

@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
+
 namespace monde::moe {
 
 /// Maps an (layer, expert) pair onto one of 64 signature bits. The scramble
@@ -27,13 +29,7 @@ namespace monde::moe {
 /// the profile below and core::ExpertCache's residency signature so overlap
 /// popcounts compare like with like.
 [[nodiscard]] inline int expert_signature_bit(int layer, int expert) {
-  std::uint64_t x = (static_cast<std::uint64_t>(static_cast<std::uint32_t>(layer)) << 32) |
-                    static_cast<std::uint32_t>(expert);
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 29;
-  return static_cast<int>(x & 63);
+  return static_cast<int>(signature_mix(pack_ids(layer, expert)) & 63);
 }
 
 /// The top activated experts of one request, derived from its own routing

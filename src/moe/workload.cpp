@@ -1,6 +1,7 @@
 #include "moe/workload.hpp"
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 
 namespace monde::moe {
 
@@ -61,21 +62,6 @@ std::vector<DecoderStep> WorkloadGenerator::decoder_steps(std::int64_t batch,
   return out;
 }
 
-namespace {
-
-/// 64-bit finalizer (murmur3 fmix64): decorrelates the per-request routing
-/// streams derived from (seed, request_id, step, layer).
-std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
-}  // namespace
-
 std::vector<MoeLayerWork> WorkloadGenerator::decoder_step_for(std::uint64_t request_id,
                                                               std::int64_t step,
                                                               std::int64_t tokens) const {
@@ -84,7 +70,7 @@ std::vector<MoeLayerWork> WorkloadGenerator::decoder_step_for(std::uint64_t requ
   std::vector<MoeLayerWork> out;
   out.reserve(decoder_gatings_.size());
   for (std::size_t i = 0; i < decoder_gatings_.size(); ++i) {
-    Rng rng{mix64(mix64(mix64(seed_ ^ 0x5e17ed5e17ed5e17ULL) + request_id) +
+    Rng rng{fmix64(fmix64(fmix64(seed_ ^ 0x5e17ed5e17ed5e17ULL) + request_id) +
                   static_cast<std::uint64_t>(step)) +
             static_cast<std::uint64_t>(i)};
     MoeLayerWork work;
@@ -106,7 +92,7 @@ ExpertProfile WorkloadGenerator::expert_profile_for(std::uint64_t request_id, in
   for (std::size_t i = 0; i < decoder_gatings_.size(); ++i) {
     // A salt distinct from decoder_step_for's keeps the profiling probe on
     // its own stream: deriving a profile must not change the routed work.
-    Rng rng{mix64(mix64(seed_ ^ 0x70f11e70f11e70f1ULL) + request_id) +
+    Rng rng{fmix64(fmix64(seed_ ^ 0x70f11e70f11e70f1ULL) + request_id) +
             static_cast<std::uint64_t>(i)};
     MoeLayerWork work;
     work.layer_id = model_.encoder_moe_layers() + static_cast<int>(i);

@@ -168,11 +168,11 @@ class ExpertShardedDispatcher final : public ResidencyDispatcher {
   }
 };
 
-/// Ring point of one virtual node: prefix_mix() over the packed (replica,
+/// Ring point of one virtual node: signature_mix() over the packed (replica,
 /// vnode) pair. Pure in its inputs, so every dispatcher instance (and both
 /// cluster loops) places the same replica at the same points.
 std::uint64_t ring_point(std::size_t replica, std::uint32_t vnode) {
-  return prefix_mix((static_cast<std::uint64_t>(replica) << 8) | vnode);
+  return signature_mix((static_cast<std::uint64_t>(replica) << 8) | vnode);
 }
 
 /// Consistent-hash-ring routing on the request's shared prefix id.
@@ -199,7 +199,7 @@ class PrefixHashDispatcher final : public ResidencyDispatcher {
     if (rq.prefix_id == 0 || rq.decode_phase()) return pick(snapshots);
     sync_ring(snapshots);
     // Walk clockwise from the key to the first virtual node (wrapping).
-    auto it = ring_.lower_bound(prefix_mix(rq.prefix_id));
+    auto it = ring_.lower_bound(signature_mix(rq.prefix_id));
     if (it == ring_.end()) it = ring_.begin();
     const std::size_t home_replica = it->second;
     std::size_t home = 0;

@@ -4,6 +4,25 @@
 
 namespace monde::serve {
 
+namespace {
+
+/// `rs`'s request annotated with its checkpointed progress: an applied step
+/// since admission means the whole prompt and `generated` decode tokens were
+/// resident at the last completed step boundary. Anything short of that
+/// (waiting, or admitted into a step whose completion never applied --
+/// stranded mid-prefill) keeps the resume state it arrived with.
+Request checkpointed(const RequestState& rs) {
+  Request rq = rs.request;
+  if (rs.generated > rq.resume.decoded) {
+    rq.resume.prefilled = rq.prompt_len;
+    rq.resume.decoded = rs.generated;
+    rq.resume.first_token = rs.first_token;
+  }
+  return rq;
+}
+
+}  // namespace
+
 std::string to_string(BatchingMode mode) {
   return mode == BatchingMode::kFixed ? "fixed" : "continuous";
 }
@@ -116,6 +135,17 @@ std::vector<RequestState*> ContinuousBatchScheduler::admit_fixed() {
   return newly;
 }
 
+ContinuousBatchScheduler::Fit ContinuousBatchScheduler::fit(std::int64_t prefill_tokens,
+                                                             std::int64_t prompt,
+                                                             std::size_t admitted) const {
+  const std::int64_t slots_after = static_cast<std::int64_t>(active_.size()) +
+                                   static_cast<std::int64_t>(admitted) + 1;
+  if (prefill_tokens + prompt + slots_after <= cfg_.token_budget) return Fit::kYes;
+  // Starvation guard: an over-budget prompt runs alone on an empty server.
+  const bool alone = active_.empty() && admitted == 0 && prompt + 1 > cfg_.token_budget;
+  return alone ? Fit::kAlone : Fit::kNo;
+}
+
 std::vector<RequestState*> ContinuousBatchScheduler::admit_fifo() {
   // Admit while this step's tokens (prefills admitted now + one decode token
   // per slot after admission) stay within the budget. The FIFO head pops in
@@ -127,16 +157,11 @@ std::vector<RequestState*> ContinuousBatchScheduler::admit_fifo() {
     const Request& rq = states_[queued_.front()].request;
     const std::int64_t saved = discount_for(rq);
     const std::int64_t prompt = rq.prompt_len - saved;  // tokens to prefill
-    const std::int64_t slots_after =
-        static_cast<std::int64_t>(active_.size()) + static_cast<std::int64_t>(newly.size()) + 1;
-    const bool fits = prefill_tokens + prompt + slots_after <= cfg_.token_budget;
-    // Starvation guard: an over-budget prompt runs alone on an empty server.
-    const bool oversized_alone = active_.empty() && newly.empty() &&
-                                 prompt + 1 > cfg_.token_budget;
-    if (!fits && !oversized_alone) break;
+    const Fit f = fit(prefill_tokens, prompt, newly.size());
+    if (f == Fit::kNo) break;
     take_front(saved, newly);
     prefill_tokens += prompt;
-    if (oversized_alone) break;
+    if (f == Fit::kAlone) break;
   }
   return newly;
 }
@@ -180,16 +205,12 @@ std::vector<RequestState*> ContinuousBatchScheduler::admit_size_aware() {
   for (const Candidate& c : order) {
     const Request& rq = states_[queued_[c.pos]].request;
     const std::int64_t prompt = rq.prompt_len - c.saved;
-    const std::int64_t slots_after = static_cast<std::int64_t>(active_.size()) +
-                                     static_cast<std::int64_t>(newly.size()) + 1;
-    const bool fits = prefill_tokens + prompt + slots_after <= cfg_.token_budget;
-    const bool oversized_alone = active_.empty() && newly.empty() &&
-                                 prompt + 1 > cfg_.token_budget;
-    if (fits || oversized_alone) {
+    const Fit f = fit(prefill_tokens, prompt, newly.size());
+    if (f != Fit::kNo) {
       taken[c.pos] = true;
       mark_admitted(queued_[c.pos], c.saved, newly);
       prefill_tokens += prompt;
-      if (oversized_alone) break;
+      if (f == Fit::kAlone) break;
       continue;
     }
     // A request past the bypass limit blocks everything behind it: nothing
@@ -268,19 +289,9 @@ std::vector<Request> ContinuousBatchScheduler::abort_unfinished() {
     if (rs.done) {
       kept.push_back(std::move(rs));
     } else {
-      Request rq = rs.request;
-      // Checkpointed progress: an applied step since admission means the
-      // whole prompt and `generated` decode tokens were resident at the
-      // last completed step boundary. Anything short of that (waiting, or
-      // admitted into a step whose completion never applied -- stranded
-      // mid-prefill) keeps the resume state it arrived with. Whether the
-      // retry USES the annotation is the cluster's cache-survival policy.
-      if (rs.generated > rq.resume.decoded) {
-        rq.resume.prefilled = rq.prompt_len;
-        rq.resume.decoded = rs.generated;
-        rq.resume.first_token = rs.first_token;
-      }
-      stranded.push_back(rq);
+      // Whether the retry USES the annotation is the cluster's
+      // cache-survival policy.
+      stranded.push_back(checkpointed(rs));
     }
   }
   states_ = std::move(kept);
@@ -302,11 +313,7 @@ std::vector<Request> ContinuousBatchScheduler::release_prefilled() {
     // step advanced their decode depth past what they arrived with, which is
     // the same signal abort_unfinished() keys its checkpoint annotation on.
     if (rs.generated <= rs.request.resume.decoded) continue;
-    Request rq = rs.request;
-    rq.resume.prefilled = rq.prompt_len;
-    rq.resume.decoded = rs.generated;
-    rq.resume.first_token = rs.first_token;
-    released.push_back(rq);
+    released.push_back(checkpointed(rs));
     rs.done = true;  // leaves the batch; handed_off keeps reporting honest
     rs.handed_off = true;
     --live_;

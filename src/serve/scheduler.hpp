@@ -223,6 +223,12 @@ class ContinuousBatchScheduler {
   std::vector<RequestState*> admit_fixed();
   std::vector<RequestState*> admit_fifo();
   std::vector<RequestState*> admit_size_aware();
+  /// Whether the next `prompt`-token prefill fits the step's token budget
+  /// after `prefill_tokens` in `admitted` requests; kAlone: over budget, but
+  /// it runs alone on an empty server (the starvation guard).
+  enum class Fit { kNo, kYes, kAlone };
+  [[nodiscard]] Fit fit(std::int64_t prefill_tokens, std::int64_t prompt,
+                        std::size_t admitted) const;
   /// Frozen discount + budget accounting for one admission (shared by every
   /// admission order; queue removal is the caller's).
   void mark_admitted(std::size_t idx, std::int64_t saved,

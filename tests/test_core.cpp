@@ -324,6 +324,48 @@ TEST_F(StrategyTest, AutotunerAdjustsAlpha) {
   EXPECT_NE(lb.alpha(), alpha0);
 }
 
+TEST_F(StrategyTest, PinnedHStopsTheTuner) {
+  // The layers of AutotunerAdjustsAlpha move alpha; with H pinned the tuner
+  // must not run at all.
+  MondeLoadBalanced lb{ctx()};
+  lb.set_fixed_h(3);
+  sim::StreamSchedule sched;
+  const HwStreams hw = HwStreams::create(sched, sys_);
+  Duration t = Duration::zero();
+  for (int i = 0; i < 12; ++i) {
+    const auto r = lb.run_layer(routed_work(256), sched, hw, t);
+    EXPECT_EQ(r.h_value, 3);
+    t = r.end;
+  }
+  EXPECT_EQ(lb.alpha(), 1.0);
+}
+
+TEST_F(StrategyTest, TunerDryRunsLeaveTheExpertCacheAlone) {
+  // Only real layers may look up and fill the GPU expert cache: every hot
+  // expert of a real layer is one access, and its hits are the layer's
+  // skipped transfers. The tuner's dry runs read residency only.
+  sys_.gpu_expert_cache_bytes = Bytes{4 * model_.expert_bytes().count()};
+  MondeLoadBalanced lb{ctx()};
+  ASSERT_NE(lb.expert_cache(), nullptr);
+  sim::StreamSchedule sched;
+  const HwStreams hw = HwStreams::create(sched, sys_);
+  const std::int64_t tokens[] = {16, 32, 16, 8};
+  std::int64_t gpu_experts = 0;
+  std::int64_t cache_hits = 0;
+  Duration t = Duration::zero();
+  for (int i = 0; i < 12; ++i) {
+    const auto r = lb.run_layer(routed_work(tokens[i % 4]), sched, hw, t);
+    gpu_experts += r.experts_gpu;
+    cache_hits += r.cache_hits;
+    t = r.end;
+  }
+  const ExpertCache& cache = *lb.expert_cache();
+  EXPECT_GT(gpu_experts, 0);
+  EXPECT_GT(cache_hits, 0);
+  EXPECT_EQ(cache.hits() + cache.misses(), static_cast<std::uint64_t>(gpu_experts));
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(cache_hits));
+}
+
 TEST_F(StrategyTest, MultiGpuRequiresTwoGpus) {
   EXPECT_THROW(make_strategy(StrategyKind::kMultiGpu, ctx()), Error);
 }

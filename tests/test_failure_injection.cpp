@@ -173,7 +173,6 @@ TEST(FailureInjection, DecoderRejectsBadArguments) {
 TEST(FailureInjection, TuningWindowBoundedUnderManyLayers) {
   Platform p;
   MondeLoadBalanced lb{p.ctx()};
-  lb.tune_period = 2;
   sim::StreamSchedule sched;
   const HwStreams hw = HwStreams::create(sched, p.sys);
   moe::WorkloadGenerator gen{p.model, moe::SkewProfile::switch_like(), 9};
